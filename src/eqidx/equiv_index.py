@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -39,6 +40,7 @@ from .rep_rings import (
     Subgroup,
     divisors,
     induce,
+    integer_determinant,
     reduce_to_rep,
 )
 from .standard_basis import (
@@ -145,33 +147,34 @@ def _check_pairing(form: OneForm, action: DiagonalAction) -> None:
         )
 
 
+def _invariance_violation(form: OneForm, action: DiagonalAction) -> str | None:
+    """Describe the first monomial that breaks invariance, or None if there is none."""
+    _check_pairing(form, action)
+    m = action.group.order
+    for i, f in enumerate(form.components):
+        target = (-action.weights[i]) % m
+        for mon in f.terms:
+            if action.weight_of(mon) != target:
+                return (
+                    f"component {i + 1} has a monomial of weight "
+                    f"{action.weight_of(mon)}, expected {target} (mod {m})"
+                )
+    return None
+
+
 def check_invariance(form: OneForm, action: DiagonalAction) -> bool:
     """Whether every monomial of every component satisfies the weight congruence.
 
     The coefficient of dz_i transforms with weight -weights[i], so f_i dz_i is
     invariant exactly when each monomial of f_i has weight -weights[i] mod m.
     """
-    _check_pairing(form, action)
-    m = action.group.order
-    for i, f in enumerate(form.components):
-        target = (-action.weights[i]) % m
-        for mon in f.terms:
-            if action.weight_of(mon) != target:
-                return False
-    return True
+    return _invariance_violation(form, action) is None
 
 
 def _require_invariant(form: OneForm, action: DiagonalAction) -> None:
-    _check_pairing(form, action)
-    m = action.group.order
-    for i, f in enumerate(form.components):
-        target = (-action.weights[i]) % m
-        for mon in f.terms:
-            if action.weight_of(mon) != target:
-                raise NotInvariantError(
-                    f"component {i + 1} has a monomial of weight "
-                    f"{action.weight_of(mon)}, expected {target} (mod {m})"
-                )
+    violation = _invariance_violation(form, action)
+    if violation is not None:
+        raise NotInvariantError(violation)
 
 
 def _local_quotient(components: Sequence[Polynomial]) -> QuotientBasis:
@@ -336,24 +339,15 @@ def st_sum(
 
 
 def _rational_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    a = [list(map(Fraction, row)) for row in rows]
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor:
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    return det
+    """Scale each row to integers, then divide the integer determinant back."""
+    scaled = []
+    scale = 1
+    for row in rows:
+        row = [Fraction(c) for c in row]
+        den = lcm(*(c.denominator for c in row))
+        scaled.append([int(c * den) for c in row])
+        scale *= den
+    return Fraction(integer_determinant(scaled), scale)
 
 
 def equivariant_pullback(

@@ -10,9 +10,10 @@ and printer for the textual input grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import add, le, neg, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, ParseError
 
@@ -20,21 +21,21 @@ Monomial = tuple[int, ...]
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
     """Whether a divides b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mon_div(a: Monomial, b: Monomial) -> Monomial:
     """The quotient a/b; b must divide a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mon_degree(a: Monomial) -> int:
@@ -52,6 +53,19 @@ def monomial_weight(mon: Monomial, weights: Sequence[int], modulus: int) -> int:
 
 _GLOBAL_KINDS = ("degrevlex", "deglex", "homogenized")
 _LOCAL_KINDS = ("negdegrevlex", "negdeglex")
+
+
+def _revlex_tail(mon: Monomial) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(mon)))
+
+
+_ORDER_KEYS: dict[str, Callable[[Monomial], tuple]] = {
+    "degrevlex": lambda mon: (sum(mon), _revlex_tail(mon)),
+    "deglex": lambda mon: (sum(mon), mon),
+    "homogenized": lambda mon: (sum(mon), mon[-1], _revlex_tail(mon[:-1])),
+    "negdegrevlex": lambda mon: (-sum(mon), _revlex_tail(mon)),
+    "negdeglex": lambda mon: (-sum(mon), mon),
+}
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,9 @@ class MonomialOrder:
 
     kind: str
     nvars: int
+    # The sort key of a monomial under this order, bound to the kind once:
+    # leading-monomial searches call it on every term.
+    key: Callable[[Monomial], tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _GLOBAL_KINDS + _LOCAL_KINDS:
@@ -81,6 +98,7 @@ class MonomialOrder:
             raise ValueError("nvars must be nonnegative")
         if self.kind == "homogenized" and self.nvars < 1:
             raise ValueError("homogenized order needs the homogenizing variable")
+        object.__setattr__(self, "key", _ORDER_KEYS[self.kind])
 
     @classmethod
     def global_order(cls, nvars: int) -> "MonomialOrder":
@@ -94,18 +112,6 @@ class MonomialOrder:
     def is_local(self) -> bool:
         return self.kind in _LOCAL_KINDS
 
-    def key(self, mon: Monomial):
-        d = sum(mon)
-        if self.kind == "degrevlex":
-            return (d, tuple(-e for e in reversed(mon)))
-        if self.kind == "deglex":
-            return (d, mon)
-        if self.kind == "homogenized":
-            return (d, mon[-1], tuple(-e for e in reversed(mon[:-1])))
-        if self.kind == "negdegrevlex":
-            return (-d, tuple(-e for e in reversed(mon)))
-        return (-d, mon)
-
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
 
@@ -118,6 +124,8 @@ class Polynomial:
 
     ``terms`` maps exponent tuples to nonzero coefficients.  Arithmetic never
     mutates; every operation validates that the ambient dimensions agree.
+    The public constructor validates and normalizes its input; results of
+    arithmetic are built by ``_unchecked``, which trusts them.
     """
 
     __slots__ = ("nvars", "terms")
@@ -135,6 +143,14 @@ class Polynomial:
                 clean[mon] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _unchecked(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap a fresh dict of valid exponent tuples and nonzero Fractions, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -187,24 +203,36 @@ class Polynomial:
         self._check_compatible(other)
         out = dict(self.terms)
         for mon, c in other.terms.items():
-            s = out.get(mon, Fraction(0)) + c
-            if s:
+            s = out.get(mon)
+            if s is None:
+                out[mon] = c
+            elif s := s + c:
                 out[mon] = s
             else:
-                out.pop(mon, None)
-        return Polynomial(self.nvars, out)
+                del out[mon]
+        return Polynomial._unchecked(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._unchecked(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for mon, c in other.terms.items():
+            s = out.get(mon)
+            if s is None:
+                out[mon] = -c
+            elif s := s - c:
+                out[mon] = s
+            else:
+                del out[mon]
+        return Polynomial._unchecked(self.nvars, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -212,20 +240,19 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
+            if not c:
+                return Polynomial.zero(self.nvars)
+            return Polynomial._unchecked(self.nvars, {m: c * v for m, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mon = mon_mul(m1, m2)
-                s = out.get(mon, Fraction(0)) + c1 * c2
-                if s:
-                    out[mon] = s
-                else:
-                    out.pop(mon, None)
-        return Polynomial(self.nvars, out)
+                mon = tuple(map(add, m1, m2))
+                s = out.get(mon)
+                out[mon] = c1 * c2 if s is None else s + c1 * c2
+        return Polynomial._unchecked(self.nvars, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -260,8 +287,8 @@ class Polynomial:
         lc = self.leading_coefficient(order)
         if lc == 1:
             return self
-        inv = Fraction(1) / lc
-        return Polynomial(self.nvars, {m: inv * c for m, c in self.terms.items()})
+        inv = 1 / lc
+        return Polynomial._unchecked(self.nvars, {m: inv * c for m, c in self.terms.items()})
 
     def partial_derivative(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:

@@ -1,30 +1,32 @@
 """Groebner and local standard bases of polynomial ideals over the rationals.
 
-The global engine is Buchberger's algorithm under a degree order, with the
-coprimality criterion and full autoreduction, so its output is the reduced
-Groebner basis.  The local engine computes a minimal standard basis under a
-negative-degree order using Mora's weak normal form, whose reducer selection
-minimizes the ecart (the gap between the degree of a polynomial and the
-degree of its leading monomial) and which may recruit earlier partial
-remainders as reducers; with that discipline division terminates even though
-the ordering is not a well-order.  Termination can still be impractically
-slow (a reducer that is a unit multiple of a variable with a deep tail makes
-the leading monomial creep down one monomial at a time), so the local pair
-loop guards its step count, term counts and coefficient sizes; a tripped
-guard reroutes the computation through a terminating global route: a
-degree-capped rerun whose cap is certified by a global Groebner basis, or a
-homogenizing lift when the ideal is not globally zero-dimensional.  Either
-route recovers a minimal standard basis of the same ideal.  Quotient
-extraction enumerates the standard monomials of a zero-dimensional leading
-ideal.
+The global engine is Buchberger's algorithm under a degree order.  Pairs
+are taken lowest lcm degree first, Gebauer and Moeller's criteria discard
+those that would reduce to zero, and full autoreduction makes the output the
+reduced Groebner basis.  The local engine computes a minimal standard basis
+under a negative-degree order using Mora's weak normal form, whose reducer
+selection minimizes the ecart (the gap between the degree of a polynomial
+and the degree of its leading monomial) and which may recruit earlier
+partial remainders as reducers; with that discipline division terminates
+even though the ordering is not a well-order.  Termination can still be
+impractically slow (a reducer that is a unit multiple of a variable with a
+deep tail makes the leading monomial creep down one monomial at a time), so
+the local pair loop guards its step count, term counts and coefficient
+sizes.  One rule picks the route: a run that trips a guard is abandoned and
+the ideal goes through the homogenizing lift, a global Groebner basis of the
+homogenized generators that always terminates and recovers a minimal
+standard basis of the same ideal.  Quotient extraction enumerates the
+standard monomials of a zero-dimensional leading ideal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .errors import NonZeroDimensionalError
@@ -85,27 +87,37 @@ class QuotientBasis:
         return len(self.monomials)
 
 
+def _sub_multiple(terms: dict[Monomial, Fraction], q: Fraction, shift: Monomial,
+                  g: Polynomial) -> None:
+    """terms -= q * z^shift * g, in place, dropping the terms that cancel."""
+    for mon, c in g.terms.items():
+        mon = tuple(map(add, mon, shift))
+        s = terms.get(mon)
+        if s is None:
+            terms[mon] = -q * c
+        elif s := s - q * c:
+            terms[mon] = s
+        else:
+            del terms[mon]
+
+
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The S-polynomial, cancelling the leading terms of f and g."""
     lmf = f.leading_monomial(order)
     lmg = g.leading_monomial(order)
     lcm = mon_lcm(lmf, lmg)
-    cf = f.leading_coefficient(order)
-    cg = g.leading_coefficient(order)
-    uf = Polynomial.monomial(f.nvars, mon_div(lcm, lmf), Fraction(1) / cf)
-    ug = Polynomial.monomial(g.nvars, mon_div(lcm, lmg), Fraction(1) / cg)
-    return uf * f - ug * g
+    shift = mon_div(lcm, lmf)
+    inv = 1 / f.terms[lmf]
+    terms = {tuple(map(add, mon, shift)): inv * c for mon, c in f.terms.items()}
+    _sub_multiple(terms, 1 / g.terms[lmg], mon_div(lcm, lmg), g)
+    return Polynomial._unchecked(f.nvars, terms)
 
 
-def _reduce_once(h: Polynomial, lm_h: Monomial, g: Polynomial, lm_g: Monomial,
-                 order: MonomialOrder) -> Polynomial:
+def _reduce_once(h: Polynomial, lm_h: Monomial, g: Polynomial, lm_g: Monomial) -> Polynomial:
     """Cancel the leading term of h against g."""
-    factor = Polynomial.monomial(
-        h.nvars,
-        mon_div(lm_h, lm_g),
-        h.terms[lm_h] / g.terms[lm_g],
-    )
-    return h - factor * g
+    terms = dict(h.terms)
+    _sub_multiple(terms, h.terms[lm_h] / g.terms[lm_g], mon_div(lm_h, lm_g), g)
+    return Polynomial._unchecked(h.nvars, terms)
 
 
 def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
@@ -117,25 +129,31 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     """
     if order.is_local:
         raise ValueError("global normal form requires a global order")
-    lms = [g.leading_monomial(order) for g in basis]
+    return _full_remainder(p, [(g.leading_monomial(order), g) for g in basis], order)
+
+
+def _full_remainder(p: Polynomial, reducers: Sequence[tuple[Monomial, Polynomial]],
+                    order: MonomialOrder) -> Polynomial:
+    """Full division by (leading monomial, polynomial) pairs under a global order."""
+    work = dict(p.terms)
     remainder: dict[Monomial, Fraction] = {}
-    work = p
-    while work.terms:
-        lm = work.leading_monomial(order)
-        for g, lm_g in zip(basis, lms):
+    key = order.key
+    while work:
+        lm = max(work, key=key)
+        for lm_g, g in reducers:
             if mon_divides(lm_g, lm):
-                work = _reduce_once(work, lm, g, lm_g, order)
+                _sub_multiple(work, work[lm] / g.terms[lm_g], mon_div(lm, lm_g), g)
                 break
         else:
-            remainder[lm] = work.terms[lm]
-            work = work - Polynomial.monomial(work.nvars, lm, work.terms[lm])
-    return Polynomial(p.nvars, remainder)
+            remainder[lm] = work.pop(lm)
+    return Polynomial._unchecked(p.nvars, remainder)
 
 
-# Limits on one local basis computation before it is rerouted through the
-# homogenizing lift.  Tame inputs use a few hundred steps, small coefficients
-# and short polynomials; a creeping reduction blows all three up together,
-# and the bit bound trips well before the arithmetic gets expensive.
+# Limits on one direct Mora run before the ideal is handed to the
+# homogenizing lift instead.  Tame inputs use a few hundred steps, small
+# coefficients and short polynomials; a creeping reduction blows all three up
+# together, and the bit bound trips well before the arithmetic gets
+# expensive.
 _MORA_STEP_LIMIT = 2000
 _MORA_TERM_LIMIT = 1500
 _MORA_COEFF_BITS = 1024
@@ -157,13 +175,6 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     return _mora_weak_nf(p, basis, order, None)
 
 
-def _truncate(p: Polynomial, cap: int) -> Polynomial:
-    """Drop the terms of degree at least ``cap``."""
-    return Polynomial(
-        p.nvars, {mon: c for mon, c in p.terms.items() if mon_degree(mon) < cap}
-    )
-
-
 def _primitive(p: Polynomial) -> Polynomial:
     """Rescale by a positive rational so the coefficients are coprime integers.
 
@@ -181,12 +192,12 @@ def _primitive(p: Polynomial) -> Polynomial:
     scale = Fraction(den, num)
     if scale == 1:
         return p
-    return Polynomial(p.nvars, {mon: c * scale for mon, c in p.terms.items()})
+    return Polynomial._unchecked(p.nvars, {mon: c * scale for mon, c in p.terms.items()})
 
 
 def _mora_weak_nf(p: Polynomial, basis: Sequence[Polynomial],
                   order: MonomialOrder, budget: list[int] | None,
-                  cap: int | None = None, normalize: bool = False) -> Polynomial:
+                  normalize: bool = False) -> Polynomial:
     if not order.is_local:
         raise ValueError("Mora normal form requires a local order")
     if not p.terms:
@@ -226,26 +237,51 @@ def _mora_weak_nf(p: Polynomial, basis: Sequence[Polynomial],
             # ecart without bound; this is what makes Mora division terminate.
             pool.append((lm_h, ecart(h, lm_h), h, counter))
             counter += 1
-        h = _reduce_once(h, lm_h, g, lm_g, order)
-        if cap is not None:
-            h = _truncate(h, cap)
+        h = _reduce_once(h, lm_h, g, lm_g)
         if normalize and h.terms:
             h = _primitive(h)
     return h
 
 
-def _select_pair(pending: list[tuple[int, int]], lms: Sequence[Monomial],
-                 order: MonomialOrder) -> tuple[int, int]:
-    """Deterministic pair selection: lowest lcm degree, then order key, then age."""
+def _queue_pair(queue: list, order: MonomialOrder, lcm: Monomial, i: int, j: int) -> None:
+    """Queue the pair i < j: lowest lcm degree first, then order key, then age."""
+    heappush(queue, (mon_degree(lcm), order.key(lcm), i, j))
 
-    def rank(pair):
+
+def _update_pairs(lms: Sequence[Monomial], live: list[int],
+                  pending: dict[tuple[int, int], Monomial], queue: list,
+                  order: MonomialOrder) -> None:
+    """Gebauer and Moeller's update for the newest basis element.
+
+    An old pair is dropped when the new leading monomial m divides its lcm
+    and both of its lcms with m differ from it (Buchberger's chain
+    criterion).  A new pair is dropped when the lcm of another new pair
+    divides its own; of several sharing one lcm only the last is kept, and
+    that lcm is dropped altogether when one of its pairs has coprime leading
+    monomials.  Elements whose leading monomial m divides stop taking part
+    in new pairs and in reduction.
+    """
+    t = len(lms) - 1
+    m = lms[t]
+    for pair, lcm in list(pending.items()):
         i, j = pair
-        lcm = mon_lcm(lms[i], lms[j])
-        return (mon_degree(lcm), order.key(lcm), i, j)
-
-    best = min(pending, key=rank)
-    pending.remove(best)
-    return best
+        if mon_divides(m, lcm) and mon_lcm(lms[i], m) != lcm and mon_lcm(lms[j], m) != lcm:
+            del pending[pair]
+    fresh = [(i, mon_lcm(lms[i], m)) for i in live]
+    kept: list[tuple[int, Monomial, bool]] = []
+    for pos, (i, lcm) in enumerate(fresh):
+        coprime = mon_mul(lms[i], m) == lcm
+        if coprime or not (
+            any(mon_divides(other, lcm) for _, other in fresh[pos + 1 :])
+            or any(mon_divides(other, lcm) for _, other, _ in kept)
+        ):
+            kept.append((i, lcm, coprime))
+    for i, lcm, coprime in kept:
+        if not coprime:
+            pending[(i, t)] = lcm
+            _queue_pair(queue, order, lcm, i, t)
+    live[:] = [i for i in live if not mon_divides(m, lms[i])]
+    live.append(t)
 
 
 def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
@@ -253,23 +289,30 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     order = gens.order
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
-    basis = [g.monic(order) for g in gens.generators if g.terms]
-    if not basis:
-        return ReducedBasis((), order, "global")
-    lms = [g.leading_monomial(order) for g in basis]
-    pending = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pending:
-        i, j = _select_pair(pending, lms, order)
-        # Coprime leading monomials always reduce to zero.
-        if mon_mul(lms[i], lms[j]) == mon_lcm(lms[i], lms[j]):
+    basis: list[Polynomial] = []
+    lms: list[Monomial] = []
+    live: list[int] = []
+    pending: dict[tuple[int, int], Monomial] = {}
+    queue: list = []
+
+    def insert(h: Polynomial) -> None:
+        basis.append(h.monic(order))
+        lms.append(h.leading_monomial(order))
+        _update_pairs(lms, live, pending, queue, order)
+
+    for g in gens.generators:
+        if g.terms:
+            insert(g)
+    while queue:
+        *_, i, j = heappop(queue)
+        if pending.pop((i, j), None) is None:
             continue
-        h = global_normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        h = _full_remainder(
+            s_polynomial(basis[i], basis[j], order), [(lms[k], basis[k]) for k in live], order
+        )
         if h.terms:
-            h = h.monic(order)
-            basis.append(h)
-            lms.append(h.leading_monomial(order))
-            pending.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    return ReducedBasis(tuple(_autoreduce(basis, order)), order, "global")
+            insert(h)
+    return ReducedBasis(tuple(_autoreduce([basis[k] for k in live], order)), order, "global")
 
 
 def _minimalize(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
@@ -286,31 +329,25 @@ def _minimalize(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomia
 
 
 def _autoreduce(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Minimalize, then reduce every tail against the others until stable."""
-    current = _minimalize(basis, order)
-    changed = True
-    while changed:
-        changed = False
-        reduced: list[Polynomial] = []
-        for i, g in enumerate(current):
-            others = reduced + current[i + 1 :]
-            r = global_normal_form(g, others, order) if others else g
-            if not r.terms:
-                changed = True
-                continue
-            r = r.monic(order)
-            if r != g:
-                changed = True
-            reduced.append(r)
-        current = reduced
-    current.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return current
+    """Minimalize, then reduce every tail against the other elements.
+
+    Once no leading monomial divides another, reduction keeps every leading
+    monomial, so one pass leaves every term of every element irreducible.
+    """
+    minimal = _minimalize(basis, order)
+    reducers = [(g.leading_monomial(order), g) for g in minimal]
+    reduced = [
+        _full_remainder(g, reducers[:i] + reducers[i + 1 :], order).monic(order)
+        for i, g in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
+    return reduced
 
 
 def _homogenize(p: Polynomial) -> Polynomial:
     """Make every term of p the same total degree with a trailing new variable."""
     d = p.total_degree()
-    return Polynomial(
+    return Polynomial._unchecked(
         p.nvars + 1,
         {mon + (d - mon_degree(mon),): c for mon, c in p.terms.items()},
     )
@@ -318,7 +355,7 @@ def _homogenize(p: Polynomial) -> Polynomial:
 
 def _dehomogenize(p: Polynomial) -> Polynomial:
     """Set the trailing variable to one.  Homogeneous terms never collide."""
-    return Polynomial(p.nvars - 1, {mon[:-1]: c for mon, c in p.terms.items()})
+    return Polynomial._unchecked(p.nvars - 1, {mon[:-1]: c for mon, c in p.terms.items()})
 
 
 def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
@@ -328,7 +365,8 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
     polynomial dehomogenizes to its local leading term, and any relation
     g = sum p_i f_i homogenizes to t^a g^h = sum t^(a_i) p_i^h f_i^h; so the
     dehomogenized Groebner basis elements lie in the original ideal and their
-    leading monomials generate its full local leading ideal.
+    leading monomials generate its full local leading ideal (Greuel and
+    Pfister, A Singular Introduction to Commutative Algebra, section 1.7).
     """
     order = gens.order
     lifted = GeneratorSet(
@@ -341,124 +379,16 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
     return ReducedBasis(tuple(minimal), order, "local")
 
 
-def _degree_monomials(nvars: int, degree: int) -> list[Monomial]:
-    if nvars == 1:
-        return [(degree,)]
-    return [
-        (e,) + rest
-        for e in range(degree + 1)
-        for rest in _degree_monomials(nvars - 1, degree - e)
-    ]
-
-
-def _capped_local(gens: GeneratorSet, cap: int) -> ReducedBasis:
-    """Minimal standard basis when the local ideal provably contains m^cap.
-
-    Every dropped term of degree >= cap lies in the ideal already, so all
-    arithmetic may be truncated below the cap; the monomial universe becomes
-    finite and no reduction can creep.  The degree-cap monomials surviving
-    minimalization are appended to complete the leading ideal; their pairs
-    need no processing, since an S-polynomial against a monomial without a
-    tail lands entirely in degree >= cap.
-    """
-    order = gens.order
-    basis = []
-    for g in gens.generators:
-        t = _truncate(g, cap)
-        if t.terms:
-            basis.append(_primitive(t))
-    lms = [g.leading_monomial(order) for g in basis]
-    pending = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pending:
-        i, j = _select_pair(pending, lms, order)
-        if mon_mul(lms[i], lms[j]) == mon_lcm(lms[i], lms[j]):
-            continue
-        h = _mora_weak_nf(
-            _truncate(s_polynomial(basis[i], basis[j], order), cap),
-            basis, order, None, cap, normalize=True,
-        )
-        if h.terms:
-            h = _primitive(h)
-            basis.append(h)
-            lms.append(h.leading_monomial(order))
-            pending.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
-    minimal = _minimalize(basis, order)
-    kept = [g.leading_monomial(order) for g in minimal]
-    for mon in _degree_monomials(order.nvars, cap):
-        if not any(mon_divides(lm, mon) for lm in kept):
-            minimal.append(Polynomial.monomial(order.nvars, mon, Fraction(1)))
-    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return ReducedBasis(tuple(g.monic(order) for g in minimal), order, "local")
-
-
-def _local_noether_bound(lms: Sequence[Monomial], nvars: int) -> int | None:
-    """Least N with every degree-N monomial divisible by one of ``lms``.
-
-    None when the monomial ideal is not zero-dimensional.  Otherwise N is one
-    more than the largest degree of a monomial outside the ideal, and every
-    monomial of degree N or more is divisible by one of the generators.
-    """
-    bounds: list[int] = []
-    for i in range(nvars):
-        pure = [
-            lm[i] for lm in lms if all(e == 0 for j, e in enumerate(lm) if j != i)
-        ]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    best = 0
-    for mon in product(*(range(b) for b in bounds)):
-        if not any(mon_divides(lm, mon) for lm in lms):
-            best = max(best, mon_degree(mon) + 1)
-    return best
-
-
-def _rescued_local(gens: GeneratorSet) -> ReducedBasis:
-    """Exact reroute for inputs that trip the weak-normal-form guards.
-
-    A run capped at degree c computes the ideal plus m^c, and its sub-cap
-    leading monomials always belong to the true leading ideal.  Once those
-    monomials cut out a finite quotient, one more than the largest standard
-    monomial degree is a certified Noether exponent N: every monomial of
-    degree at least N lies in the leading ideal, so it reduces into the
-    ideal term by order-ascending term, giving m^N inside the ideal and
-    making a run capped at max(c, N) exact.  Caps deepen geometrically while
-    the certificate overshoots.  Inputs whose visible leading monomials
-    never become zero-dimensional fall through to a global Groebner gate --
-    a finite global quotient bounds the local one -- and finally to the
-    homogenizing lift, which needs no bound at all.
-    """
-    order = gens.order
-    cap = 6
-    while cap <= 48:
-        run = _capped_local(gens, cap)
-        kept = [lm for lm in run.leading_monomials() if mon_degree(lm) < cap]
-        bound = _local_noether_bound(kept, order.nvars)
-        if bound is not None:
-            if bound <= cap:
-                return run
-            if bound <= 2 * cap:
-                return _capped_local(gens, bound)
-        cap *= 2
-    glob = buchberger_global(
-        GeneratorSet(gens.generators, MonomialOrder.global_order(order.nvars))
-    )
-    try:
-        dim = quotient_basis(glob).dimension
-    except NonZeroDimensionalError:
-        return _homogenized_local(gens)
-    return _capped_local(gens, max(dim, 1))
-
-
 def mora_local(gens: GeneratorSet) -> ReducedBasis:
     """A minimal standard basis of the ideal in the local ring at the origin.
 
     Buchberger's pair loop with Mora's weak normal form in place of ordinary
     division.  The result is minimal and monic; tails are not reduced, which
     is enough to determine the leading ideal and hence all quotient data.
-    Inputs that drive the weak normal form past its step budget are rerouted
-    through the homogenizing lift instead; the leading ideal (and so every
-    quotient invariant) is the same either way.
+    A run that exceeds its budget of reduction steps, polynomial length or
+    coefficient size is abandoned, and the ideal goes through the
+    homogenizing lift instead, which always terminates; the leading ideal
+    (and so every quotient invariant) is the same either way.
     """
     order = gens.order
     if not order.is_local:
@@ -467,17 +397,23 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
     if not basis:
         return ReducedBasis((), order, "local")
     lms = [g.leading_monomial(order) for g in basis]
-    pending = [(i, j) for j in range(len(basis)) for i in range(j)]
+    queue: list = []
+
+    def queue_pairs(j: int) -> None:
+        # The coprimality criterion is order-independent: for coprime
+        # leading monomials, spoly(f, g) = tail(g) f - tail(f) g is already a
+        # standard representation, so the pair contributes nothing.
+        for i in range(j):
+            lcm = mon_lcm(lms[i], lms[j])
+            if mon_mul(lms[i], lms[j]) != lcm:
+                _queue_pair(queue, order, lcm, i, j)
+
+    for j in range(len(basis)):
+        queue_pairs(j)
     budget = [_MORA_STEP_LIMIT]
     try:
-        while pending:
-            i, j = _select_pair(pending, lms, order)
-            # The coprimality criterion is order-independent: for coprime
-            # leading monomials, spoly(f, g) = tail(g) f - tail(f) g is
-            # already a standard representation, so the pair contributes
-            # nothing.
-            if mon_mul(lms[i], lms[j]) == mon_lcm(lms[i], lms[j]):
-                continue
+        while queue:
+            *_, i, j = heappop(queue)
             h = _mora_weak_nf(
                 s_polynomial(basis[i], basis[j], order), basis, order, budget,
                 normalize=True,
@@ -486,9 +422,9 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
                 h = _primitive(h)
                 basis.append(h)
                 lms.append(h.leading_monomial(order))
-                pending.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+                queue_pairs(len(basis) - 1)
     except _BudgetExhausted:
-        return _rescued_local(gens)
+        return _homogenized_local(gens)
     minimal = _minimalize(basis, order)
     minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
     return ReducedBasis(tuple(g.monic(order) for g in minimal), order, "local")

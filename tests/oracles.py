@@ -172,15 +172,20 @@ def _to_sympy(p: Polynomial, symbols) -> sympy.Expr:
     return expr
 
 
-def sympy_groebner_leading_exponents(polys) -> set[tuple[int, ...]]:
-    """Leading exponents of the reduced degrevlex Groebner basis, via sympy."""
+def sympy_reduced_groebner(polys) -> set[Polynomial]:
+    """The reduced degrevlex Groebner basis via sympy, every element made monic."""
     n = polys[0].nvars
     symbols = sympy.symbols(f"z1:{n + 1}")
     exprs = [_to_sympy(p, symbols) for p in polys if p.terms]
     basis = sympy.groebner(exprs, *symbols, order="grevlex")
     out = set()
     for g in basis.polys:
-        out.add(tuple(int(e) for e in g.LM(order="grevlex").exponents))
+        lc = g.LC(order="grevlex")
+        terms = {}
+        for exps, c in g.terms():
+            q = sympy.Rational(c) / lc
+            terms[tuple(int(e) for e in exps)] = Fraction(int(q.p), int(q.q))
+        out.add(Polynomial(n, terms))
     return out
 
 
