@@ -25,23 +25,13 @@ from .equiv_index import (
     IndexReport,
     OneForm,
     conservation_check,
-    hom_index,
     index_report,
-    radial_index,
-    reduced_radial_index,
     st_sum,
 )
 from .errors import EqidxError, InputError, PreconditionError
 from .generator import random_case, random_invariant_form
 from .poly import Polynomial, format_polynomial, parse_polynomial
-from .rep_rings import (
-    BurnsideElement,
-    CyclicGroup,
-    RepRingElement,
-    divisors,
-    integer_determinant,
-    reduce_to_rep,
-)
+from .rep_rings import BurnsideElement, CyclicGroup, RepRingElement, integer_determinant
 
 
 @dataclass(frozen=True)
@@ -504,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--which",
         choices=("hom", "rad", "both"),
         default="both",
-        help="which index to compute (default both)",
+        help="which index to print (default both)",
     )
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -531,20 +521,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "index":
             specs = load_problem_specs(args.input)
-            documents = []
-            for spec in specs:
-                if args.which == "hom":
-                    hom = hom_index(spec.form, spec.action)
-                    documents.append(
-                        {
-                            "group": {"order": spec.action.group.order},
-                            "weights": list(spec.action.weights),
-                            "hom": character_payload(hom),
-                        }
-                    )
-                else:
-                    report = index_report(spec.form, spec.action)
-                    documents.append(report_payload(spec, report, args.which))
+            documents = [
+                report_payload(spec, index_report(spec.form, spec.action), args.which)
+                for spec in specs
+            ]
             _emit(documents[0] if len(documents) == 1 else documents)
             return 0
 

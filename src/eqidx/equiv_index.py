@@ -184,6 +184,26 @@ def _local_quotient(components: Sequence[Polynomial]) -> QuotientBasis:
     return quotient_basis(basis)
 
 
+def _origin_quotient(form: OneForm, action: DiagonalAction) -> QuotientBasis:
+    """The local quotient at the origin of an invariant form with an isolated zero there."""
+    _require_invariant(form, action)
+    try:
+        return _local_quotient(form.components)
+    except NonZeroDimensionalError as e:
+        raise NonIsolatedError(f"the zero at the origin is not isolated: {e}") from e
+
+
+def _global_quotient(form: OneForm) -> QuotientBasis:
+    """The global quotient of a form whose affine zero set is finite."""
+    gens = GeneratorSet(form.components, MonomialOrder.global_order(form.nvars))
+    try:
+        return quotient_basis(buchberger_global(gens))
+    except NonZeroDimensionalError as e:
+        raise GloballyNonZeroDimensionalError(
+            f"the affine zero set is not finite: {e}"
+        ) from e
+
+
 def _character_of_quotient(qb: QuotientBasis, action: DiagonalAction) -> RepRingElement:
     m = action.group.order
     twist = action.volume_weight()
@@ -199,54 +219,41 @@ def hom_index(form: OneForm, action: DiagonalAction) -> RepRingElement:
     The group acts on the local algebra at the origin modulo the components
     of the form, twisted by the weight of the volume form; the monomials
     outside the leading ideal are simultaneous eigenvectors, so the character
-    is read off their weights.
+    is read off their weights.  A form that does not vanish at the origin
+    generates the unit ideal there, so its local quotient is zero and its
+    index is the zero character.
     """
-    _require_invariant(form, action)
-    try:
-        qb = _local_quotient(form.components)
-    except NonZeroDimensionalError as e:
-        raise NonIsolatedError(f"the zero at the origin is not isolated: {e}") from e
-    return _character_of_quotient(qb, action)
+    return _character_of_quotient(_origin_quotient(form, action), action)
 
 
 def _stratum_table(
-    form: OneForm,
-    action: DiagonalAction,
-    dimension_cache: dict[tuple[int, ...], int] | None = None,
+    form: OneForm, action: DiagonalAction, milnor_number: int
 ) -> dict[int, StratumData]:
     """Fixed variables and restricted Milnor number for every subgroup order.
 
     The subgroup of order a fixes the subspace spanned by the variables whose
     weight is divisible by a.  Invariance forces the other components to
     vanish there, so restricting the fixed components gives the restricted
-    form; its local quotient dimension is the stratum's Milnor number.  An
-    empty fixed subspace is the origin alone and counts with multiplicity 1.
-    Different subgroups may share a fixed set, so dimensions are cached by it.
+    form; its local quotient dimension is the stratum's Milnor number.  The
+    whole space is the stratum of the trivial subgroup, with the given Milnor
+    number; an empty fixed subspace is the origin alone and counts with
+    multiplicity 1.  Different subgroups may share a fixed set, so dimensions
+    are cached by it.
     """
-    if not form.vanishes_at_origin():
-        raise NonIsolatedError("the origin is not a zero of the form")
-    cache = {} if dimension_cache is None else dimension_cache
+    dimensions = {tuple(range(form.nvars)): milnor_number, (): 1}
     out: dict[int, StratumData] = {}
     for a in divisors(action.group.order):
         keep = action.fixed_variables(a)
-        if not keep:
-            out[a] = StratumData((), 1)
-            continue
-        if keep not in cache:
+        if keep not in dimensions:
             restricted = tuple(form.components[i].restrict_to(keep) for i in keep)
             try:
-                qb = _local_quotient(restricted)
+                dimensions[keep] = _local_quotient(restricted).dimension
             except NonZeroDimensionalError as e:
-                if a == 1:
-                    raise NonIsolatedError(
-                        f"the zero at the origin is not isolated: {e}"
-                    ) from e
                 raise RestrictedNonIsolatedError(
                     f"the restriction to the fixed subspace of the order {a} "
                     f"subgroup does not have an isolated zero: {e}"
                 ) from e
-            cache[keep] = qb.dimension
-        out[a] = StratumData(keep, cache[keep])
+        out[a] = StratumData(keep, dimensions[keep])
     return out
 
 
@@ -275,44 +282,35 @@ def _orbit_counts(strata: Mapping[int, StratumData], m: int) -> dict[int, int]:
     return d
 
 
-def radial_index(form: OneForm, action: DiagonalAction) -> BurnsideElement:
-    """The radial index as a virtual G-set.
+def index_report(form: OneForm, action: DiagonalAction) -> IndexReport:
+    """Both indices from one local quotient at the origin and its fixed strata.
 
     Requires the form to be invariant with an algebraically isolated zero at
     the origin on every fixed subspace.
     """
-    _require_invariant(form, action)
-    strata = _stratum_table(form, action)
-    counts = _orbit_counts(strata, action.group.order)
-    sign = (-1) ** form.nvars
-    return BurnsideElement(action.group, {b: sign * c for b, c in counts.items()})
-
-
-def reduced_radial_index(form: OneForm, action: DiagonalAction) -> RepRingElement:
-    """The permutation character of the radial index."""
-    return reduce_to_rep(radial_index(form, action))
-
-
-def index_report(form: OneForm, action: DiagonalAction) -> IndexReport:
-    """Both indices at once, sharing the per-stratum computations."""
-    _require_invariant(form, action)
+    qb = _origin_quotient(form, action)
     if not form.vanishes_at_origin():
         raise NonIsolatedError("the origin is not a zero of the form")
-    try:
-        full_qb = _local_quotient(form.components)
-    except NonZeroDimensionalError as e:
-        raise NonIsolatedError(f"the zero at the origin is not isolated: {e}") from e
-    seed = {tuple(range(form.nvars)): full_qb.dimension}
-    strata = _stratum_table(form, action, dimension_cache=seed)
+    strata = _stratum_table(form, action, qb.dimension)
     counts = _orbit_counts(strata, action.group.order)
     sign = (-1) ** form.nvars
     radial = BurnsideElement(action.group, {b: sign * c for b, c in counts.items()})
     return IndexReport(
-        hom=_character_of_quotient(full_qb, action),
+        hom=_character_of_quotient(qb, action),
         radial=radial,
         reduced_radial=reduce_to_rep(radial),
         strata=strata,
     )
+
+
+def radial_index(form: OneForm, action: DiagonalAction) -> BurnsideElement:
+    """The radial index as a virtual G-set, as computed by ``index_report``."""
+    return index_report(form, action).radial
+
+
+def reduced_radial_index(form: OneForm, action: DiagonalAction) -> RepRingElement:
+    """The permutation character of the radial index."""
+    return index_report(form, action).reduced_radial
 
 
 def st_sum(
@@ -440,16 +438,7 @@ def global_index_character(form: OneForm, action: DiagonalAction) -> RepRingElem
     the induced local indices over every zero orbit in affine space.
     """
     _require_invariant(form, action)
-    n = form.nvars
-    gens = GeneratorSet(form.components, MonomialOrder.global_order(n))
-    basis = buchberger_global(gens)
-    try:
-        qb = quotient_basis(basis)
-    except NonZeroDimensionalError as e:
-        raise GloballyNonZeroDimensionalError(
-            f"the affine zero set is not finite: {e}"
-        ) from e
-    return _character_of_quotient(qb, action)
+    return _character_of_quotient(_global_quotient(form), action)
 
 
 @dataclass(frozen=True)
@@ -496,22 +485,12 @@ def conservation_check(
     as orbit representatives of the nonzero zeros, the comparison is against
     the index at the origin plus the sum of the induced local indices.
     """
+    # Both forms are validated before any quotient is computed.
     _require_invariant(form, action)
     _require_invariant(deformed, action)
-    try:
-        qb_local = _local_quotient(form.components)
-    except NonZeroDimensionalError as e:
-        raise NonIsolatedError(f"the zero at the origin is not isolated: {e}") from e
+    qb_local = _origin_quotient(form, action)
     reference = _character_of_quotient(qb_local, action)
-
-    n = form.nvars
-    gens = GeneratorSet(deformed.components, MonomialOrder.global_order(n))
-    try:
-        qb_global = quotient_basis(buchberger_global(gens))
-    except NonZeroDimensionalError as e:
-        raise GloballyNonZeroDimensionalError(
-            f"the deformation's affine zero set is not finite: {e}"
-        ) from e
+    qb_global = _global_quotient(deformed)
     if qb_global.dimension != qb_local.dimension:
         raise DimensionGuardFailedError(
             f"global multiplicity {qb_global.dimension} of the deformation differs "

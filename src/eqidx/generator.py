@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
 
 from .equiv_index import DiagonalAction, OneForm, index_report
 from .errors import PreconditionError

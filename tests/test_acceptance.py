@@ -18,11 +18,10 @@ from eqidx.equiv_index import (
     exterior_derivative,
     hom_index,
     index_report,
-    radial_index,
     st_sum,
 )
 from eqidx.generator import random_case, random_invariant_form, random_shear
-from eqidx.poly import MonomialOrder, Polynomial, parse_polynomial
+from eqidx.poly import MonomialOrder, parse_polynomial
 from eqidx.rep_rings import (
     BurnsideElement,
     CyclicGroup,

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from eqidx.cli import main, parse_report_payload
 from eqidx.rep_rings import BurnsideElement, CyclicGroup, RepRingElement
 
@@ -103,6 +101,15 @@ def test_precondition_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "index", "--input", not_isolated)
     assert code == 3
     assert json.loads(out)["error"] == "NonIsolated"
+
+    # every --which validates alike: a form that misses the origin is rejected
+    not_vanishing = write_json(
+        tmp_path, {"group": {"order": 1}, "weights": [0], "form": ["1 + z1"]}, "c.json"
+    )
+    for which in ("hom", "rad", "both"):
+        code, out = run(capsys, "index", "--input", not_vanishing, "--which", which)
+        assert code == 3, which
+        assert json.loads(out)["error"] == "NonIsolated"
 
 
 def test_input_error_exit_codes(tmp_path, capsys):

@@ -33,7 +33,7 @@ from eqidx.errors import (
     SingularLinearPartError,
 )
 from eqidx.generator import random_case
-from eqidx.poly import MonomialOrder, Polynomial, parse_polynomial
+from eqidx.poly import MonomialOrder, parse_polynomial
 from eqidx.rep_rings import (
     BurnsideElement,
     CyclicGroup,
@@ -43,7 +43,7 @@ from eqidx.rep_rings import (
     restrict_rep,
 )
 from eqidx.standard_basis import GeneratorSet, mora_local, quotient_basis
-from oracles import character_matches_eigenvalues
+from oracles import character_matches_eigenvalues, local_quotient_dimension
 
 
 def make_case(m, weights, texts):
@@ -189,6 +189,12 @@ def test_index_report_consistency_random():
             sign = (-1) ** (action.nvars + len(data.fixed_variables))
             assert covered == sign * data.milnor_number
         assert report.radial.virtual_point_count() == report.strata[1].milnor_number
+        # every stratum's Milnor number against the truncation oracle
+        for data in report.strata.values():
+            keep = data.fixed_variables
+            restricted = [form.components[i].restrict_to(keep) for i in keep]
+            expected = local_quotient_dimension(restricted) if keep else 1
+            assert data.milnor_number == expected
 
 
 def test_hom_restricts_to_subgroup_index():
