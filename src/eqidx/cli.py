@@ -44,6 +44,11 @@ class ProblemSpec:
     points: tuple[tuple[Fraction, ...], ...] | None = None
 
 
+def _is_integer(value: Any) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, although bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_exact(value: Any, context: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{context}: expected an exact number, got {value!r}")
@@ -68,14 +73,14 @@ def problem_from_dict(data: Any) -> ProblemSpec:
     if not isinstance(data, dict):
         raise InputError("problem must be a JSON object")
     group = data.get("group")
-    if not isinstance(group, dict) or not isinstance(group.get("order"), int):
+    if not isinstance(group, dict) or not _is_integer(group.get("order")):
         raise InputError("problem needs group.order as an integer")
     m = group["order"]
     if m < 1:
         raise InputError("group order must be positive")
     weights = data.get("weights")
     if not isinstance(weights, list) or not weights or not all(
-        isinstance(w, int) for w in weights
+        _is_integer(w) for w in weights
     ):
         raise InputError("weights must be a nonempty list of integers")
     texts = data.get("form")

@@ -84,10 +84,6 @@ class CyclicGroup:
         if not isinstance(self.order, int) or self.order < 1:
             raise ValueError("group order must be a positive integer")
 
-    def subgroup(self, order: int) -> "Subgroup":
-        """The unique subgroup of the given order, which must divide the group order."""
-        return Subgroup(self, order)
-
 
 @dataclass(frozen=True)
 class Subgroup:

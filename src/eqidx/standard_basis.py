@@ -1,8 +1,10 @@
 """Groebner and local standard bases of polynomial ideals over the rationals.
 
-The global engine is Buchberger's algorithm under a degree order.  Pairs
-are taken lowest lcm degree first, Gebauer and Moeller's criteria discard
-those that would reduce to zero, and full autoreduction makes the output the
+Both engines run one pair loop: Buchberger's algorithm with pairs taken
+lowest lcm degree first and pruned by Gebauer and Moeller's criteria, which
+discard pairs that would reduce to zero under any monomial order.  They
+differ only in the reduction.  The global engine, under a degree order,
+divides fully, keeps its elements monic and autoreduces the result into the
 reduced Groebner basis.  The local engine computes a minimal standard basis
 under a negative-degree order using Mora's weak normal form, whose reducer
 selection minimizes the ecart (the gap between the degree of a polynomial
@@ -11,7 +13,7 @@ partial remainders as reducers; with that discipline division terminates
 even though the ordering is not a well-order.  Termination can still be
 impractically slow (a reducer that is a unit multiple of a variable with a
 deep tail makes the leading monomial creep down one monomial at a time), so
-the local pair loop guards its step count, term counts and coefficient
+the local reduction guards its step count, term counts and coefficient
 sizes.  One rule picks the route: a run that trips a guard is abandoned and
 the ideal goes through the homogenizing lift, a global Groebner basis of the
 homogenized generators that always terminates and recovers a minimal
@@ -22,12 +24,13 @@ standard monomials of a zero-dimensional leading ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd, lcm
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NonZeroDimensionalError
 from .poly import (
@@ -172,7 +175,10 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     keep reducible monomials: there exists a unit u with u*p = sum + result,
     which is exactly what leading-ideal and dimension computations need.
     """
-    return _mora_weak_nf(p, basis, order, None)
+    if not order.is_local:
+        raise ValueError("Mora normal form requires a local order")
+    reducers = [(g.leading_monomial(order), g) for g in basis if g.terms]
+    return _mora_weak_nf(p, reducers, order, None)
 
 
 def _primitive(p: Polynomial) -> Polynomial:
@@ -195,23 +201,21 @@ def _primitive(p: Polynomial) -> Polynomial:
     return Polynomial._unchecked(p.nvars, {mon: c * scale for mon, c in p.terms.items()})
 
 
-def _mora_weak_nf(p: Polynomial, basis: Sequence[Polynomial],
-                  order: MonomialOrder, budget: list[int] | None,
-                  normalize: bool = False) -> Polynomial:
-    if not order.is_local:
-        raise ValueError("Mora normal form requires a local order")
-    if not p.terms:
-        return p
+def _mora_weak_nf(p: Polynomial, reducers: Sequence[tuple[Monomial, Polynomial]],
+                  order: MonomialOrder, budget: list[int] | None) -> Polynomial:
+    """Mora's weak normal form by (leading monomial, polynomial) pairs.
+
+    Every reduction step leaves a primitive remainder (see _primitive).  With
+    a ``budget`` (a one-element list of remaining steps) every step is
+    charged against it and against the term and coefficient limits, raising
+    _BudgetExhausted when one runs out.
+    """
 
     def ecart(f: Polynomial, lm: Monomial) -> int:
         return f.total_degree() - mon_degree(lm)
 
     # Reducer pool; entries are (lm, ecart, polynomial, insertion index).
-    pool = []
-    for i, g in enumerate(basis):
-        if g.terms:
-            lm = g.leading_monomial(order)
-            pool.append((lm, ecart(g, lm), g, i))
+    pool = [(lm, ecart(g, lm), g, i) for i, (lm, g) in enumerate(reducers)]
     counter = len(pool)
     h = p
     while h.terms:
@@ -237,15 +241,8 @@ def _mora_weak_nf(p: Polynomial, basis: Sequence[Polynomial],
             # ecart without bound; this is what makes Mora division terminate.
             pool.append((lm_h, ecart(h, lm_h), h, counter))
             counter += 1
-        h = _reduce_once(h, lm_h, g, lm_g)
-        if normalize and h.terms:
-            h = _primitive(h)
+        h = _primitive(_reduce_once(h, lm_h, g, lm_g))
     return h
-
-
-def _queue_pair(queue: list, order: MonomialOrder, lcm: Monomial, i: int, j: int) -> None:
-    """Queue the pair i < j: lowest lcm degree first, then order key, then age."""
-    heappush(queue, (mon_degree(lcm), order.key(lcm), i, j))
 
 
 def _update_pairs(lms: Sequence[Monomial], live: list[int],
@@ -259,7 +256,8 @@ def _update_pairs(lms: Sequence[Monomial], live: list[int],
     divides its own; of several sharing one lcm only the last is kept, and
     that lcm is dropped altogether when one of its pairs has coprime leading
     monomials.  Elements whose leading monomial m divides stop taking part
-    in new pairs and in reduction.
+    in new pairs and in reduction.  Kept pairs are queued lowest lcm degree
+    first, then by order key, then by age.
     """
     t = len(lms) - 1
     m = lms[t]
@@ -279,16 +277,22 @@ def _update_pairs(lms: Sequence[Monomial], live: list[int],
     for i, lcm, coprime in kept:
         if not coprime:
             pending[(i, t)] = lcm
-            _queue_pair(queue, order, lcm, i, t)
+            heappush(queue, (mon_degree(lcm), order.key(lcm), i, t))
     live[:] = [i for i in live if not mon_divides(m, lms[i])]
     live.append(t)
 
 
-def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
-    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
-    order = gens.order
-    if order.is_local:
-        raise ValueError("buchberger_global requires a global order")
+def _pair_loop(generators: Sequence[Polynomial], order: MonomialOrder,
+               reduce: Callable[..., Polynomial],
+               rescale: Callable[[Polynomial], Polynomial]) -> list[tuple[Monomial, Polynomial]]:
+    """Buchberger's pair loop with Gebauer and Moeller's pruning, under any order.
+
+    ``reduce(p, reducers, order)`` takes an S-polynomial to a remainder whose
+    leading monomial no reducer's leading monomial divides, or to zero;
+    ``rescale`` normalizes every element the loop keeps.  Returns the
+    (leading monomial, element) pairs of the elements that still take part
+    in reduction; their leading monomials generate the leading ideal.
+    """
     basis: list[Polynomial] = []
     lms: list[Monomial] = []
     live: list[int] = []
@@ -296,52 +300,53 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     queue: list = []
 
     def insert(h: Polynomial) -> None:
-        basis.append(h.monic(order))
+        basis.append(rescale(h))
         lms.append(h.leading_monomial(order))
         _update_pairs(lms, live, pending, queue, order)
 
-    for g in gens.generators:
+    for g in generators:
         if g.terms:
             insert(g)
     while queue:
         *_, i, j = heappop(queue)
         if pending.pop((i, j), None) is None:
             continue
-        h = _full_remainder(
-            s_polynomial(basis[i], basis[j], order), [(lms[k], basis[k]) for k in live], order
-        )
+        h = reduce(s_polynomial(basis[i], basis[j], order), [(lms[k], basis[k]) for k in live],
+                   order)
         if h.terms:
             insert(h)
-    return ReducedBasis(tuple(_autoreduce([basis[k] for k in live], order)), order, "global")
+    return [(lms[k], basis[k]) for k in live]
 
 
-def _minimalize(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Drop elements whose leading monomial is divisible by another's."""
-    decorated = sorted(
-        ((g.leading_monomial(order), g) for g in basis),
-        key=lambda t: (mon_degree(t[0]), order.key(t[0])),
-    )
-    kept: list[tuple[Monomial, Polynomial]] = []
-    for lm, g in decorated:
-        if not any(mon_divides(lm_k, lm) for lm_k, _ in kept):
-            kept.append((lm, g))
-    return [g for _, g in kept]
+def _minimalize(pairs: Sequence[tuple[Monomial, Polynomial]],
+                order: MonomialOrder) -> list[tuple[Monomial, Polynomial]]:
+    """Drop elements whose leading monomial another's divides; make the rest monic.
 
-
-def _autoreduce(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomial]:
-    """Minimalize, then reduce every tail against the other elements.
-
-    Once no leading monomial divides another, reduction keeps every leading
-    monomial, so one pass leaves every term of every element irreducible.
+    Takes and returns (leading monomial, element) pairs, the result sorted by
+    decreasing leading monomial.
     """
-    minimal = _minimalize(basis, order)
-    reducers = [(g.leading_monomial(order), g) for g in minimal]
+    kept: list[tuple[Monomial, Polynomial]] = []
+    for lm, g in sorted(pairs, key=lambda t: (mon_degree(t[0]), order.key(t[0]))):
+        if not any(mon_divides(lm_k, lm) for lm_k, _ in kept):
+            kept.append((lm, g.monic(order)))
+    kept.sort(key=lambda t: order.key(t[0]), reverse=True)
+    return kept
+
+
+def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
+    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
+    order = gens.order
+    if order.is_local:
+        raise ValueError("buchberger_global requires a global order")
+    live = _pair_loop(gens.generators, order, _full_remainder, lambda h: h.monic(order))
+    minimal = _minimalize(live, order)
+    # Once no leading monomial divides another, reduction keeps every leading
+    # term, so one pass leaves every term of every element irreducible.
     reduced = [
-        _full_remainder(g, reducers[:i] + reducers[i + 1 :], order).monic(order)
-        for i, g in enumerate(minimal)
+        _full_remainder(g, minimal[:i] + minimal[i + 1 :], order)
+        for i, (_, g) in enumerate(minimal)
     ]
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return reduced
+    return ReducedBasis(tuple(reduced), order, "global")
 
 
 def _homogenize(p: Polynomial) -> Polynomial:
@@ -373,61 +378,34 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
         tuple(_homogenize(g) for g in gens.generators if g.terms),
         MonomialOrder("homogenized", order.nvars + 1),
     )
-    polys = [_dehomogenize(b).monic(order) for b in buchberger_global(lifted).elements]
-    minimal = _minimalize(polys, order)
-    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return ReducedBasis(tuple(minimal), order, "local")
+    polys = [_dehomogenize(b) for b in buchberger_global(lifted).elements]
+    minimal = _minimalize([(g.leading_monomial(order), g) for g in polys], order)
+    return ReducedBasis(tuple(g for _, g in minimal), order, "local")
 
 
 def mora_local(gens: GeneratorSet) -> ReducedBasis:
     """A minimal standard basis of the ideal in the local ring at the origin.
 
-    Buchberger's pair loop with Mora's weak normal form in place of ordinary
-    division.  The result is minimal and monic; tails are not reduced, which
-    is enough to determine the leading ideal and hence all quotient data.
-    A run that exceeds its budget of reduction steps, polynomial length or
-    coefficient size is abandoned, and the ideal goes through the
-    homogenizing lift instead, which always terminates; the leading ideal
-    (and so every quotient invariant) is the same either way.
+    The pair loop of ``buchberger_global``, Gebauer and Moeller's pruning
+    included, with Mora's weak normal form in place of ordinary division
+    and primitive rescaling in place of monic: the pair criteria and the
+    weak normal form hold under any monomial order.  The result is minimal
+    and monic; tails are not reduced, which is enough to determine the
+    leading ideal and hence all quotient data.  A run that exceeds its
+    budget of reduction steps, polynomial length or coefficient size is
+    abandoned, and the ideal goes through the homogenizing lift instead,
+    which always terminates; the leading ideal (and so every quotient
+    invariant) is the same either way.
     """
     order = gens.order
     if not order.is_local:
         raise ValueError("mora_local requires a local order")
-    basis = [_primitive(g) for g in gens.generators if g.terms]
-    if not basis:
-        return ReducedBasis((), order, "local")
-    lms = [g.leading_monomial(order) for g in basis]
-    queue: list = []
-
-    def queue_pairs(j: int) -> None:
-        # The coprimality criterion is order-independent: for coprime
-        # leading monomials, spoly(f, g) = tail(g) f - tail(f) g is already a
-        # standard representation, so the pair contributes nothing.
-        for i in range(j):
-            lcm = mon_lcm(lms[i], lms[j])
-            if mon_mul(lms[i], lms[j]) != lcm:
-                _queue_pair(queue, order, lcm, i, j)
-
-    for j in range(len(basis)):
-        queue_pairs(j)
-    budget = [_MORA_STEP_LIMIT]
+    reduce = partial(_mora_weak_nf, budget=[_MORA_STEP_LIMIT])
     try:
-        while queue:
-            *_, i, j = heappop(queue)
-            h = _mora_weak_nf(
-                s_polynomial(basis[i], basis[j], order), basis, order, budget,
-                normalize=True,
-            )
-            if h.terms:
-                h = _primitive(h)
-                basis.append(h)
-                lms.append(h.leading_monomial(order))
-                queue_pairs(len(basis) - 1)
+        live = _pair_loop(gens.generators, order, reduce, _primitive)
     except _BudgetExhausted:
         return _homogenized_local(gens)
-    minimal = _minimalize(basis, order)
-    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return ReducedBasis(tuple(g.monic(order) for g in minimal), order, "local")
+    return ReducedBasis(tuple(g for _, g in _minimalize(live, order)), order, "local")
 
 
 def normal_form(p: Polynomial, basis: ReducedBasis) -> Polynomial:

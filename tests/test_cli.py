@@ -126,6 +126,8 @@ def test_input_error_exit_codes(tmp_path, capsys):
         ({"group": {"order": 2}, "weights": [1], "form": ["z1^3", "z2"]}, "c.json"),
         ({"group": {"order": 0}, "weights": [1], "form": ["z1^3"]}, "o.json"),
         ({"weights": [1], "form": ["z1^3"]}, "g.json"),
+        ({"group": {"order": True}, "weights": [1], "form": ["z1^3"]}, "bo.json"),
+        ({"group": {"order": 2}, "weights": [True], "form": ["z1^3"]}, "bw.json"),
     ]:
         path = write_json(tmp_path, payload, name)
         code, out = run(capsys, "index", "--input", path)
