@@ -29,7 +29,7 @@ from .equiv_index import (
     st_sum,
 )
 from .errors import EqidxError, InputError, PreconditionError
-from .generator import random_case, random_invariant_form
+from .generator import _form_and_report, random_action
 from .poly import Polynomial, format_polynomial, parse_polynomial
 from .rep_rings import BurnsideElement, CyclicGroup, RepRingElement, integer_determinant
 
@@ -276,18 +276,8 @@ HAND_CASES: tuple[tuple[int, tuple[int, ...], tuple[str, ...]], ...] = (
 )
 
 
-def hand_cases() -> list[tuple[DiagonalAction, OneForm]]:
-    out = []
-    for m, weights, texts in HAND_CASES:
-        n = len(weights)
-        action = DiagonalAction(CyclicGroup(m), weights)
-        form = OneForm(tuple(parse_polynomial(t, n) for t in texts))
-        out.append((action, form))
-    return out
-
-
-def _coincidence_case(case_id: str, action: DiagonalAction, form: OneForm) -> Case:
-    report = index_report(form, action)
+def _coincidence_case(case_id: str, action: DiagonalAction, form: OneForm,
+                      report: IndexReport) -> Case:
     return Case(
         case_id=case_id,
         inputs=_case_inputs(action, form),
@@ -303,16 +293,19 @@ def _coincidence_case(case_id: str, action: DiagonalAction, form: OneForm) -> Ca
 def suite_coincidence(seed: int, count: int,
                       specs: Sequence[ProblemSpec] | None = None) -> list[Case]:
     """Reduced radial index equals homological index, case by case."""
+    given: list[tuple[str, DiagonalAction, OneForm]] = []
+    for i, (m, weights, texts) in enumerate(HAND_CASES):
+        form = OneForm(tuple(parse_polynomial(t, len(weights)) for t in texts))
+        given.append((f"hand-{i:03d}", DiagonalAction(CyclicGroup(m), weights), form))
+    given += [(f"input-{i:03d}", spec.action, spec.form) for i, spec in enumerate(specs or ())]
     cases = power_family_cases()
-    for i, (action, form) in enumerate(hand_cases()):
-        cases.append(_coincidence_case(f"hand-{i:03d}", action, form))
-    if specs:
-        for i, spec in enumerate(specs):
-            cases.append(_coincidence_case(f"input-{i:03d}", spec.action, spec.form))
+    for case_id, action, form in given:
+        cases.append(_coincidence_case(case_id, action, form, index_report(form, action)))
     rng = random.Random(seed)
     for i in range(count):
-        form, action = random_case(rng)
-        cases.append(_coincidence_case(f"random-{i:03d}", action, form))
+        action = random_action(rng)
+        form, report = _form_and_report(rng, action)
+        cases.append(_coincidence_case(f"random-{i:03d}", action, form, report))
     return cases
 
 
@@ -325,11 +318,9 @@ def suite_sebastiani_thom(seed: int, count: int) -> list[Case]:
         group = CyclicGroup(m)
         action_a = DiagonalAction(group, tuple(rng.randrange(m) for _ in range(rng.randint(1, 2))))
         action_b = DiagonalAction(group, tuple(rng.randrange(m) for _ in range(rng.randint(1, 2))))
-        form_a = random_invariant_form(rng, action_a, max_degree=5)
-        form_b = random_invariant_form(rng, action_b, max_degree=5)
+        form_a, report_a = _form_and_report(rng, action_a, max_degree=5)
+        form_b, report_b = _form_and_report(rng, action_b, max_degree=5)
         sum_form, sum_action = st_sum(form_a, action_a, form_b, action_b)
-        report_a = index_report(form_a, action_a)
-        report_b = index_report(form_b, action_b)
         report = index_report(sum_form, sum_action)
         hom_ok = report.hom == report_a.hom * report_b.hom
         rad_ok = report.radial == report_a.radial * report_b.radial
@@ -465,6 +456,10 @@ def suite_rings(max_order: int = 8, max_multiplier: int = 4) -> list[Case]:
 
 def run_verify(suite: str, seed: int, count: int,
                specs: Sequence[ProblemSpec] | None) -> tuple[dict, bool]:
+    if count < 0:
+        raise InputError(f"--cases must not be negative, got {count}")
+    if specs is not None and suite not in ("coincidence", "conservation"):
+        raise InputError(f"suite {suite!r} reads no --input")
     if suite == "coincidence":
         cases = suite_coincidence(seed, count, specs)
     elif suite == "sebastiani-thom":
@@ -537,15 +532,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         document, all_passed = run_verify(args.suite, args.seed, args.cases, specs)
         _emit(document)
         return 0 if all_passed else 1
-    except InputError as e:
-        _emit({"error": e.kind, "detail": str(e)})
-        return 2
-    except PreconditionError as e:
-        _emit({"error": e.kind, "detail": str(e)})
-        return 3
     except EqidxError as e:
         _emit({"error": e.kind, "detail": str(e)})
-        return 2
+        return 3 if isinstance(e, PreconditionError) else 2
 
 
 def entry_point() -> None:

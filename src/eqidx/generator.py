@@ -3,8 +3,10 @@
 Each component starts from a pure power of its own variable whose exponent
 satisfies the weight congruence, which already gives an isolated invariant
 zero on every fixed subspace; a few extra invariant monomials are then mixed
-in and the candidate is rejected if any stratum loses isolation.  Everything
-is driven by a caller-supplied random.Random, so suites are reproducible.
+in and the candidate is rejected if its index report finds a stratum that
+loses isolation; ``_form_and_report`` hands that report back with the form,
+so the verify suites need not compute it again.  Everything is driven by a
+caller-supplied random.Random, so suites are reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from .equiv_index import DiagonalAction, OneForm, index_report
+from .equiv_index import DiagonalAction, IndexReport, OneForm, index_report
 from .errors import PreconditionError
 from .poly import Polynomial
 from .rep_rings import CyclicGroup
@@ -83,6 +85,17 @@ def random_invariant_form(
     that happens are rejected and resampled, falling back to the bare
     pure-power form, which is always admissible.
     """
+    return _form_and_report(rng, action, max_degree, extra_terms, attempts)[0]
+
+
+def _form_and_report(
+    rng: random.Random,
+    action: DiagonalAction,
+    max_degree: int = 6,
+    extra_terms: int = 2,
+    attempts: int = 25,
+) -> tuple[OneForm, IndexReport]:
+    """``random_invariant_form``'s form with the index report that admitted it."""
     m = action.group.order
     n = action.nvars
     anchors = []
@@ -110,15 +123,13 @@ def random_invariant_form(
             comps.append(Polynomial(n, terms))
         candidate = OneForm(tuple(comps))
         try:
-            index_report(candidate, action)
+            return candidate, index_report(candidate, action)
         except PreconditionError:
             continue
-        return candidate
     fallback = OneForm(
         tuple(Polynomial.monomial(n, anchor_monomial(i)) for i in range(n))
     )
-    index_report(fallback, action)
-    return fallback
+    return fallback, index_report(fallback, action)
 
 
 def random_case(

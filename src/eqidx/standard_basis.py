@@ -3,8 +3,8 @@
 Both engines run one pair loop: Buchberger's algorithm with pairs taken
 lowest lcm degree first and pruned by Gebauer and Moeller's criteria, which
 discard pairs that would reduce to zero under any monomial order.  They
-differ only in the reduction.  The global engine, under a degree order,
-divides fully, keeps its elements monic and autoreduces the result into the
+differ only in the reduction; both keep their elements primitive.  The
+global engine, under a degree order, divides fully and autoreduces into the
 reduced Groebner basis.  The local engine computes a minimal standard basis
 under a negative-degree order using Mora's weak normal form, whose reducer
 selection minimizes the ecart (the gap between the degree of a polynomial
@@ -283,13 +283,12 @@ def _update_pairs(lms: Sequence[Monomial], live: list[int],
 
 
 def _pair_loop(generators: Sequence[Polynomial], order: MonomialOrder,
-               reduce: Callable[..., Polynomial],
-               rescale: Callable[[Polynomial], Polynomial]) -> list[tuple[Monomial, Polynomial]]:
+               reduce: Callable[..., Polynomial]) -> list[tuple[Monomial, Polynomial]]:
     """Buchberger's pair loop with Gebauer and Moeller's pruning, under any order.
 
     ``reduce(p, reducers, order)`` takes an S-polynomial to a remainder whose
     leading monomial no reducer's leading monomial divides, or to zero;
-    ``rescale`` normalizes every element the loop keeps.  Returns the
+    every element the loop keeps is made primitive.  Returns the
     (leading monomial, element) pairs of the elements that still take part
     in reduction; their leading monomials generate the leading ideal.
     """
@@ -300,7 +299,7 @@ def _pair_loop(generators: Sequence[Polynomial], order: MonomialOrder,
     queue: list = []
 
     def insert(h: Polynomial) -> None:
-        basis.append(rescale(h))
+        basis.append(_primitive(h))
         lms.append(h.leading_monomial(order))
         _update_pairs(lms, live, pending, queue, order)
 
@@ -338,7 +337,7 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     order = gens.order
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
-    live = _pair_loop(gens.generators, order, _full_remainder, lambda h: h.monic(order))
+    live = _pair_loop(gens.generators, order, _full_remainder)
     minimal = _minimalize(live, order)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
@@ -387,22 +386,21 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
     """A minimal standard basis of the ideal in the local ring at the origin.
 
     The pair loop of ``buchberger_global``, Gebauer and Moeller's pruning
-    included, with Mora's weak normal form in place of ordinary division
-    and primitive rescaling in place of monic: the pair criteria and the
-    weak normal form hold under any monomial order.  The result is minimal
-    and monic; tails are not reduced, which is enough to determine the
-    leading ideal and hence all quotient data.  A run that exceeds its
-    budget of reduction steps, polynomial length or coefficient size is
-    abandoned, and the ideal goes through the homogenizing lift instead,
-    which always terminates; the leading ideal (and so every quotient
-    invariant) is the same either way.
+    included, with Mora's weak normal form in place of ordinary division:
+    the pair criteria and the weak normal form hold under any monomial
+    order.  The result is minimal and monic; tails are not reduced, which is
+    enough to determine the leading ideal and hence all quotient data.  A
+    run that exceeds its budget of reduction steps, polynomial length or
+    coefficient size is abandoned, and the ideal goes through the
+    homogenizing lift instead, which always terminates; the leading ideal
+    (and so every quotient invariant) is the same either way.
     """
     order = gens.order
     if not order.is_local:
         raise ValueError("mora_local requires a local order")
     reduce = partial(_mora_weak_nf, budget=[_MORA_STEP_LIMIT])
     try:
-        live = _pair_loop(gens.generators, order, reduce, _primitive)
+        live = _pair_loop(gens.generators, order, reduce)
     except _BudgetExhausted:
         return _homogenized_local(gens)
     return ReducedBasis(tuple(g for _, g in _minimalize(live, order)), order, "local")

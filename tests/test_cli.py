@@ -1,8 +1,10 @@
 """End-to-end command line behaviour: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 
-from eqidx.cli import main, parse_report_payload
+from eqidx.cli import main, parse_report_payload, run_verify
+from eqidx.equiv_index import index_report
 from eqidx.rep_rings import BurnsideElement, CyclicGroup, RepRingElement
 
 
@@ -214,3 +216,49 @@ def test_verify_conservation_input_needs_deformation(tmp_path, capsys):
     code, out = run(capsys, "verify", "--suite", "conservation", "--input", path)
     assert code == 2
     assert json.loads(out)["error"] == "Input"
+
+
+def test_verify_refuses_unused_flags(tmp_path, capsys):
+    path = write_json(tmp_path, CUBIC)
+    for argv in (
+        ["--suite", "rings", "--input", path],
+        ["--suite", "sebastiani-thom", "--input", path],
+        ["--suite", "coincidence", "--cases", "-3"],
+    ):
+        code, out = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == "Input"
+
+
+def test_verify_computes_one_report_per_generated_form(monkeypatch):
+    calls = []
+
+    def counting_index_report(form, action):
+        calls.append(form)
+        return index_report(form, action)
+
+    monkeypatch.setattr("eqidx.cli.index_report", counting_index_report)
+    # 15 power-family and 15 hand cases; the generated forms bring their reports
+    assert run_verify("coincidence", 0, 5, None)[1]
+    assert len(calls) == 30
+    calls.clear()
+    # only each direct sum needs a report of its own
+    assert run_verify("sebastiani-thom", 0, 4, None)[1]
+    assert len(calls) == 4
+
+
+def test_verify_report_bytes_are_pinned(capsys):
+    # a change in the generator's draw order or in any report field shows here
+    for argv, digest in (
+        (
+            ["--suite", "coincidence", "--seed", "0", "--cases", "50"],
+            "f9f3085d7f6e09a5639b949b45ed647f39b4498b1b42738ca4442bfadef58060",
+        ),
+        (
+            ["--suite", "sebastiani-thom", "--seed", "0"],
+            "47c615315a09b4e7c5c7e7c21267e4f9bfc41d093680635e74de2828a699fe37",
+        ),
+    ):
+        code, out = run(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
