@@ -225,16 +225,16 @@ def _case_inputs(action: DiagonalAction, form: OneForm) -> dict:
     }
 
 
-def power_family_cases(max_order: int = 6, max_multiplier: int = 3) -> list[Case]:
-    """The one-variable family z^(s*m - 1) dz with weight 1.
+def power_family_cases() -> list[Case]:
+    """The one-variable family z^(s*m - 1) dz with weight 1, for m <= 6 and s <= 3.
 
     Both indices must equal s copies of the regular character minus the
     trivial one; the closed form is asserted against both computations.
     """
     cases = []
-    for m in range(2, max_order + 1):
+    for m in range(2, 7):
         group = CyclicGroup(m)
-        for s in range(1, max_multiplier + 1):
+        for s in range(1, 4):
             action = DiagonalAction(group, (1,))
             form = OneForm((Polynomial.monomial(1, (s * m - 1,)),))
             report = index_report(form, action)
@@ -423,13 +423,13 @@ def suite_conservation(specs: Sequence[ProblemSpec] | None = None) -> list[Case]
     return cases
 
 
-def suite_rings(max_order: int = 8, max_multiplier: int = 4) -> list[Case]:
-    """Non zero divisor certificates for s copies of the regular character minus one."""
+def suite_rings() -> list[Case]:
+    """Non zero divisor certificates for s * regular - 1, for m <= 8 and s <= 4."""
     cases = []
-    for m in range(2, max_order + 1):
+    for m in range(2, 9):
         group = CyclicGroup(m)
         reg = RepRingElement.regular(group)
-        for s in range(1, max_multiplier + 1):
+        for s in range(1, 5):
             x = s * reg - RepRingElement.one(group)
             det = integer_determinant(x.multiplication_matrix())
             ok = abs(det) == s * m - 1 and not x.is_zero_divisor()
@@ -454,12 +454,21 @@ def suite_rings(max_order: int = 8, max_multiplier: int = 4) -> list[Case]:
     return cases
 
 
-def run_verify(suite: str, seed: int, count: int,
+def run_verify(suite: str, seed: int | None, count: int | None,
                specs: Sequence[ProblemSpec] | None) -> tuple[dict, bool]:
-    if count < 0:
-        raise InputError(f"--cases must not be negative, got {count}")
+    """Run one suite: its report, and whether every case passed.
+
+    Only coincidence and sebastiani-thom read ``seed`` and ``count`` (default
+    0 and 50), and only coincidence and conservation read ``specs``.
+    """
     if specs is not None and suite not in ("coincidence", "conservation"):
         raise InputError(f"suite {suite!r} reads no --input")
+    if suite in ("conservation", "rings") and (seed is not None or count is not None):
+        raise InputError(f"suite {suite!r} reads no --seed or --cases")
+    seed = 0 if seed is None else seed
+    count = 50 if count is None else count
+    if count < 0:
+        raise InputError(f"--cases must not be negative, got {count}")
     if suite == "coincidence":
         cases = suite_coincidence(seed, count, specs)
     elif suite == "sebastiani-thom":
@@ -504,10 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("coincidence", "sebastiani-thom", "conservation", "rings"),
     )
     p_verify.add_argument("--input", help="optional JSON problem file with extra cases")
-    p_verify.add_argument("--seed", type=int, default=0, help="generator seed")
-    p_verify.add_argument(
-        "--cases", type=int, default=50, help="number of generated cases"
-    )
+    p_verify.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p_verify.add_argument("--cases", type=int, help="number of generated cases (default 50)")
     return parser
 
 

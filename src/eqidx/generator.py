@@ -30,6 +30,13 @@ _COEFFICIENTS = (
     Fraction(-3, 2),
 )
 
+# At most this many extra monomials join each component's pure power.
+_EXTRA_TERMS = 2
+# Candidate forms drawn before falling back to the bare pure powers.
+_ATTEMPTS = 25
+# Exponent tuples drawn in search of one invariant monomial.
+_MONOMIAL_TRIES = 40
+
 
 def random_action(
     rng: random.Random, max_order: int = 6, max_vars: int = 3
@@ -52,7 +59,6 @@ def _random_invariant_monomial(
     action: DiagonalAction,
     component: int,
     max_degree: int,
-    tries: int = 40,
 ) -> tuple[int, ...] | None:
     """An exponent tuple of positive degree whose weight matches the component's.
 
@@ -62,7 +68,7 @@ def _random_invariant_monomial(
     m = action.group.order
     n = action.nvars
     target = (-action.weights[component]) % m
-    for _ in range(tries):
+    for _ in range(_MONOMIAL_TRIES):
         mon = tuple(rng.randint(0, max_degree) for _ in range(n))
         if not 1 <= sum(mon) <= max_degree:
             continue
@@ -75,8 +81,6 @@ def random_invariant_form(
     rng: random.Random,
     action: DiagonalAction,
     max_degree: int = 6,
-    extra_terms: int = 2,
-    attempts: int = 25,
 ) -> OneForm:
     """A random invariant form with an isolated zero at the origin.
 
@@ -85,15 +89,13 @@ def random_invariant_form(
     that happens are rejected and resampled, falling back to the bare
     pure-power form, which is always admissible.
     """
-    return _form_and_report(rng, action, max_degree, extra_terms, attempts)[0]
+    return _form_and_report(rng, action, max_degree)[0]
 
 
 def _form_and_report(
     rng: random.Random,
     action: DiagonalAction,
     max_degree: int = 6,
-    extra_terms: int = 2,
-    attempts: int = 25,
 ) -> tuple[OneForm, IndexReport]:
     """``random_invariant_form``'s form with the index report that admitted it."""
     m = action.group.order
@@ -111,11 +113,11 @@ def _form_and_report(
     def anchor_monomial(i: int) -> tuple[int, ...]:
         return tuple(anchors[i] if j == i else 0 for j in range(n))
 
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         comps = []
         for i in range(n):
             terms = {anchor_monomial(i): rng.choice(_COEFFICIENTS)}
-            for _ in range(rng.randint(0, extra_terms)):
+            for _ in range(rng.randint(0, _EXTRA_TERMS)):
                 mon = _random_invariant_monomial(rng, action, i, max_degree)
                 if mon is None or mon in terms:
                     continue

@@ -6,6 +6,11 @@ by the basis engines (degree orders for the polynomial ring, negative-degree
 orders for the local ring at the origin, where the constant monomial is the
 largest), the weight of a monomial under a diagonal action, and the parser
 and printer for the textual input grammar.
+
+Every sum of terms goes through one in-place kernel, ``_add_multiple``
+(terms += q * z^shift * other): polynomial addition, subtraction,
+multiplication and substitution here, and the S-polynomials and reduction
+steps of the basis engines.
 """
 
 from __future__ import annotations
@@ -49,6 +54,20 @@ def monomial_weight(mon: Monomial, weights: Sequence[int], modulus: int) -> int:
     raised to this value.
     """
     return sum(e * w for e, w in zip(mon, weights)) % modulus
+
+
+def _add_multiple(terms: dict[Monomial, Fraction], q: int | Fraction, shift: Monomial,
+                  other: "Polynomial") -> None:
+    """terms += q * z^shift * other, in place, dropping the terms that cancel."""
+    for mon, c in other.terms.items():
+        mon = tuple(map(add, mon, shift))
+        s = terms.get(mon)
+        if s is None:
+            terms[mon] = q * c
+        elif s := s + q * c:
+            terms[mon] = s
+        else:
+            del terms[mon]
 
 
 _GLOBAL_KINDS = ("degrevlex", "deglex", "homogenized")
@@ -195,22 +214,19 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def __add__(self, other):
+    def _plus(self, other, q: int):
+        """self + q * other for q = 1 or -1, with integer and Fraction constants."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = out.get(mon)
-            if s is None:
-                out[mon] = c
-            elif s := s + c:
-                out[mon] = s
-            else:
-                del out[mon]
+        _add_multiple(out, q, (0,) * self.nvars, other)
         return Polynomial._unchecked(self.nvars, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -218,21 +234,7 @@ class Polynomial:
         return Polynomial._unchecked(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for mon, c in other.terms.items():
-            s = out.get(mon)
-            if s is None:
-                out[mon] = -c
-            elif s := s - c:
-                out[mon] = s
-            else:
-                del out[mon]
-        return Polynomial._unchecked(self.nvars, out)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -247,12 +249,9 @@ class Polynomial:
             return NotImplemented
         self._check_compatible(other)
         out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mon = tuple(map(add, m1, m2))
-                s = out.get(mon)
-                out[mon] = c1 * c2 if s is None else s + c1 * c2
-        return Polynomial._unchecked(self.nvars, {m: c for m, c in out.items() if c})
+        for mon, c in self.terms.items():
+            _add_multiple(out, c, mon, other)
+        return Polynomial._unchecked(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -293,13 +292,12 @@ class Polynomial:
     def partial_derivative(self, i: int) -> "Polynomial":
         if not 0 <= i < self.nvars:
             raise ValueError(f"variable index {i} out of range")
-        out: dict[Monomial, Fraction] = {}
-        for mon, c in self.terms.items():
-            e = mon[i]
-            if e == 0:
-                continue
-            lowered = tuple(v - 1 if j == i else v for j, v in enumerate(mon))
-            out[lowered] = out.get(lowered, Fraction(0)) + c * e
+        # Lowering one exponent keeps distinct monomials distinct.
+        out = {
+            tuple(v - 1 if j == i else v for j, v in enumerate(mon)): c * mon[i]
+            for mon, c in self.terms.items()
+            if mon[i]
+        }
         return Polynomial(self.nvars, out)
 
     def compose(self, substitutions: Sequence["Polynomial"]) -> "Polynomial":
@@ -324,20 +322,22 @@ class Polynomial:
             for i, e in enumerate(mon):
                 if e > maxes[i]:
                     maxes[i] = e
+        one = Polynomial.constant(target, 1)
         powers: list[list[Polynomial]] = []
         for i, p in enumerate(substitutions):
-            table = [Polynomial.constant(target, 1)]
+            table = [one]
             for _ in range(maxes[i]):
                 table.append(table[-1] * p)
             powers.append(table)
-        acc = Polynomial.zero(target)
+        no_shift = (0,) * target
+        out: dict[Monomial, Fraction] = {}
         for mon, c in self.terms.items():
-            term = Polynomial.constant(target, c)
+            term = one
             for i, e in enumerate(mon):
                 if e:
                     term = term * powers[i][e]
-            acc = acc + term
-        return acc
+            _add_multiple(out, c, no_shift, term)
+        return Polynomial._unchecked(target, out)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -368,12 +368,12 @@ class Polynomial:
         """
         keep = tuple(keep)
         keep_set = set(keep)
-        out: dict[Monomial, Fraction] = {}
-        for mon, c in self.terms.items():
-            if any(e and i not in keep_set for i, e in enumerate(mon)):
-                continue
-            reduced = tuple(mon[i] for i in keep)
-            out[reduced] = out.get(reduced, Fraction(0)) + c
+        # The kept monomials vanish off ``keep``, so they stay distinct.
+        out = {
+            tuple(mon[i] for i in keep): c
+            for mon, c in self.terms.items()
+            if not any(e and i not in keep_set for i, e in enumerate(mon))
+        }
         return Polynomial(len(keep), out)
 
     def embed(self, nvars: int, positions: Sequence[int]) -> "Polynomial":
@@ -399,8 +399,19 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {format_polynomial(self)!r})"
 
 
-class _Scanner:
-    """Tokenizer for the polynomial grammar; tracks source positions for errors."""
+class _Parser:
+    """Recursive descent for sums of products of powers of atoms.
+
+    expr   := [sign] term ((+|-) term)*
+    term   := factor (* factor)*
+    factor := atom [^ INT]
+    atom   := INT [/ INT] | VAR | ( expr )
+
+    Variables are z1..zn; when n is 1 the bare name z is accepted as well.
+    Exponents and literals are nonnegative integers, negative values arise
+    only from the leading sign of a term.  ``pos`` is the index of the next
+    unread character, which every ParseError reports.
+    """
 
     def __init__(self, text: str, nvars: int):
         self.text = text
@@ -432,82 +443,64 @@ class _Scanner:
             raise ParseError("expected an integer", start)
         return int(self.text[start : self.pos])
 
-
-class _Parser:
-    """Recursive descent for sums of products of powers of atoms.
-
-    expr   := [sign] term ((+|-) term)*
-    term   := factor (* factor)*
-    factor := atom [^ INT]
-    atom   := INT [/ INT] | VAR | ( expr )
-
-    Variables are z1..zn; when n is 1 the bare name z is accepted as well.
-    Exponents and literals are nonnegative integers, negative values arise
-    only from the leading sign of a term.
-    """
-
-    def __init__(self, text: str, nvars: int):
-        self.s = _Scanner(text, nvars)
-        self.nvars = nvars
-
     def parse(self) -> Polynomial:
         p = self.expr()
-        self.s.skip_space()
-        if self.s.pos != len(self.s.text):
-            raise ParseError(f"unexpected {self.s.text[self.s.pos]!r}", self.s.pos)
+        self.skip_space()
+        if self.pos != len(self.text):
+            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
         return p
 
     def expr(self) -> Polynomial:
         sign = 1
-        if self.s.peek() in ("+", "-"):
-            if self.s.take() == "-":
+        if self.peek() in ("+", "-"):
+            if self.take() == "-":
                 sign = -1
         acc = self.term() * sign
-        while self.s.peek() in ("+", "-"):
-            op = self.s.take()
+        while self.peek() in ("+", "-"):
+            op = self.take()
             t = self.term()
             acc = acc + t if op == "+" else acc - t
         return acc
 
     def term(self) -> Polynomial:
         acc = self.factor()
-        while self.s.peek() == "*":
-            self.s.take()
+        while self.peek() == "*":
+            self.take()
             acc = acc * self.factor()
         return acc
 
     def factor(self) -> Polynomial:
         base = self.atom()
-        if self.s.peek() == "^":
-            self.s.take()
-            e = self.s.integer()
+        if self.peek() == "^":
+            self.take()
+            e = self.integer()
             base = base**e
         return base
 
     def atom(self) -> Polynomial:
-        ch = self.s.peek()
+        ch = self.peek()
         if ch == "(":
-            self.s.take()
+            self.take()
             p = self.expr()
-            if self.s.peek() != ")":
-                raise ParseError("expected ')'", self.s.pos)
-            self.s.take()
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.take()
             return p
         if ch.isdigit():
-            num = self.s.integer()
-            if self.s.peek() == "/":
-                self.s.take()
-                at = self.s.pos
-                den = self.s.integer()
+            num = self.integer()
+            if self.peek() == "/":
+                self.take()
+                at = self.pos
+                den = self.integer()
                 if den == 0:
                     raise ParseError("zero denominator", at)
                 return Polynomial.constant(self.nvars, Fraction(num, den))
             return Polynomial.constant(self.nvars, num)
         if ch == "z":
-            at = self.s.pos
-            self.s.take()
-            if self.s.pos < len(self.s.text) and self.s.text[self.s.pos].isdigit():
-                idx = self.s.integer()
+            at = self.pos
+            self.take()
+            if self.pos < len(self.text) and self.text[self.pos].isdigit():
+                idx = self.integer()
                 if not 1 <= idx <= self.nvars:
                     raise ParseError(
                         f"variable z{idx} out of range for {self.nvars} variables", at
@@ -516,7 +509,7 @@ class _Parser:
             if self.nvars == 1:
                 return Polynomial.variable(1, 0)
             raise ParseError("bare variable z is only valid in one variable", at)
-        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", self.s.pos)
+        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", self.pos)
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:

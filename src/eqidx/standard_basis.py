@@ -29,7 +29,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import product
 from math import gcd, lcm
-from operator import add
 from typing import Callable, Sequence
 
 from .errors import NonZeroDimensionalError
@@ -37,6 +36,7 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    _add_multiple,
     mon_degree,
     mon_div,
     mon_divides,
@@ -90,36 +90,21 @@ class QuotientBasis:
         return len(self.monomials)
 
 
-def _sub_multiple(terms: dict[Monomial, Fraction], q: Fraction, shift: Monomial,
-                  g: Polynomial) -> None:
-    """terms -= q * z^shift * g, in place, dropping the terms that cancel."""
-    for mon, c in g.terms.items():
-        mon = tuple(map(add, mon, shift))
-        s = terms.get(mon)
-        if s is None:
-            terms[mon] = -q * c
-        elif s := s - q * c:
-            terms[mon] = s
-        else:
-            del terms[mon]
-
-
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The S-polynomial, cancelling the leading terms of f and g."""
     lmf = f.leading_monomial(order)
     lmg = g.leading_monomial(order)
     lcm = mon_lcm(lmf, lmg)
-    shift = mon_div(lcm, lmf)
-    inv = 1 / f.terms[lmf]
-    terms = {tuple(map(add, mon, shift)): inv * c for mon, c in f.terms.items()}
-    _sub_multiple(terms, 1 / g.terms[lmg], mon_div(lcm, lmg), g)
+    terms: dict[Monomial, Fraction] = {}
+    _add_multiple(terms, 1 / f.terms[lmf], mon_div(lcm, lmf), f)
+    _add_multiple(terms, -1 / g.terms[lmg], mon_div(lcm, lmg), g)
     return Polynomial._unchecked(f.nvars, terms)
 
 
 def _reduce_once(h: Polynomial, lm_h: Monomial, g: Polynomial, lm_g: Monomial) -> Polynomial:
     """Cancel the leading term of h against g."""
     terms = dict(h.terms)
-    _sub_multiple(terms, h.terms[lm_h] / g.terms[lm_g], mon_div(lm_h, lm_g), g)
+    _add_multiple(terms, -h.terms[lm_h] / g.terms[lm_g], mon_div(lm_h, lm_g), g)
     return Polynomial._unchecked(h.nvars, terms)
 
 
@@ -145,7 +130,7 @@ def _full_remainder(p: Polynomial, reducers: Sequence[tuple[Monomial, Polynomial
         lm = max(work, key=key)
         for lm_g, g in reducers:
             if mon_divides(lm_g, lm):
-                _sub_multiple(work, work[lm] / g.terms[lm_g], mon_div(lm, lm_g), g)
+                _add_multiple(work, -work[lm] / g.terms[lm_g], mon_div(lm, lm_g), g)
                 break
         else:
             remainder[lm] = work.pop(lm)

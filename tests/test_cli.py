@@ -224,6 +224,10 @@ def test_verify_refuses_unused_flags(tmp_path, capsys):
         ["--suite", "rings", "--input", path],
         ["--suite", "sebastiani-thom", "--input", path],
         ["--suite", "coincidence", "--cases", "-3"],
+        ["--suite", "rings", "--seed", "5", "--cases", "7"],
+        ["--suite", "rings", "--seed", "0"],
+        ["--suite", "conservation", "--cases", "50"],
+        ["--suite", "conservation", "--seed", "1"],
     ):
         code, out = run(capsys, "verify", *argv)
         assert code == 2, argv
@@ -257,6 +261,15 @@ def test_verify_report_bytes_are_pinned(capsys):
         (
             ["--suite", "sebastiani-thom", "--seed", "0"],
             "47c615315a09b4e7c5c7e7c21267e4f9bfc41d093680635e74de2828a699fe37",
+        ),
+        (
+            # the pointwise families shift the form, which runs compose
+            ["--suite", "conservation"],
+            "808890f2f97edd85b5d11775ec8f6c1cd43e8ebf387244739c00d12ce42cbbc8",
+        ),
+        (
+            ["--suite", "rings"],
+            "c5fb40fc33ebdb9757a4ad72424af146746008b8beb4a7cb0378ab2bd312e6df",
         ),
     ):
         code, out = run(capsys, "verify", *argv)

@@ -84,6 +84,8 @@ def test_ring_axioms_random():
         assert p * q == q * p
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
+        assert (p - q) + q == p
+        assert (p - p).is_zero()
 
 
 def test_evaluate_shift_embed_restrict():
@@ -108,6 +110,18 @@ def test_derivative_leibniz_random():
         lhs = (p * q).partial_derivative(i)
         rhs = p.partial_derivative(i) * q + p * q.partial_derivative(i)
         assert lhs == rhs
+
+
+def test_compose_evaluates_as_substitution_random():
+    rng = random.Random(11)
+    for _ in range(30):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        p = random_polynomial(rng, n, max_degree=3)
+        subs = [random_polynomial(rng, m, max_degree=2, max_terms=3) for _ in range(n)]
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+        composed = p.compose(subs)
+        assert composed.nvars == m
+        assert composed.evaluate(x) == p.evaluate([s.evaluate(x) for s in subs])
 
 
 def test_monomial_weight():
