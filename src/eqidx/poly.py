@@ -8,9 +8,10 @@ largest), the weight of a monomial under a diagonal action, and the parser
 and printer for the textual input grammar.
 
 Every sum of terms goes through one in-place kernel, ``_add_multiple``
-(terms += q * z^shift * other): polynomial addition, subtraction,
-multiplication and substitution here, and the S-polynomials and reduction
-steps of the basis engines.
+(terms += q * z^shift * other, on plain monomial-to-coefficient dicts): with
+Fraction coefficients it serves polynomial addition, subtraction,
+multiplication and substitution here; with int coefficients it serves the
+fraction-free S-polynomials and reduction steps of the basis engines.
 """
 
 from __future__ import annotations
@@ -56,10 +57,14 @@ def monomial_weight(mon: Monomial, weights: Sequence[int], modulus: int) -> int:
     return sum(e * w for e, w in zip(mon, weights)) % modulus
 
 
-def _add_multiple(terms: dict[Monomial, Fraction], q: int | Fraction, shift: Monomial,
-                  other: "Polynomial") -> None:
-    """terms += q * z^shift * other, in place, dropping the terms that cancel."""
-    for mon, c in other.terms.items():
+def _add_multiple(terms: dict, q: int | Fraction, shift: Monomial,
+                  other: Mapping[Monomial, int | Fraction]) -> None:
+    """terms += q * z^shift * other, in place, dropping the terms that cancel.
+
+    ``terms`` and ``other`` map monomials to coefficients, all Fractions or
+    all ints.
+    """
+    for mon, c in other.items():
         mon = tuple(map(add, mon, shift))
         s = terms.get(mon)
         if s is None:
@@ -222,7 +227,7 @@ class Polynomial:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
-        _add_multiple(out, q, (0,) * self.nvars, other)
+        _add_multiple(out, q, (0,) * self.nvars, other.terms)
         return Polynomial._unchecked(self.nvars, out)
 
     def __add__(self, other):
@@ -250,7 +255,7 @@ class Polynomial:
         self._check_compatible(other)
         out: dict[Monomial, Fraction] = {}
         for mon, c in self.terms.items():
-            _add_multiple(out, c, mon, other)
+            _add_multiple(out, c, mon, other.terms)
         return Polynomial._unchecked(self.nvars, out)
 
     __rmul__ = __mul__
@@ -336,7 +341,7 @@ class Polynomial:
             for i, e in enumerate(mon):
                 if e:
                     term = term * powers[i][e]
-            _add_multiple(out, c, no_shift, term)
+            _add_multiple(out, c, no_shift, term.terms)
         return Polynomial._unchecked(target, out)
 
     def evaluate(self, point: Sequence) -> Fraction:

@@ -19,6 +19,17 @@ the ideal goes through the homogenizing lift, a global Groebner basis of the
 homogenized generators that always terminates and recovers a minimal
 standard basis of the same ideal.  Quotient extraction enumerates the
 standard monomials of a zero-dimensional leading ideal.
+
+Coefficients are Fractions only at the Polynomial boundary.  Generators
+enter as primitive integer term dicts (coprime integer coefficients, see
+_primitive), and inside the pair loop, the S-polynomials, Mora's weak normal
+form and the full division every coefficient is an int: a reduction step is
+fraction-free, h <- a*h - b*z^s*g with a > 0, followed by division by the
+content, so every intermediate polynomial is the primitive positive multiple
+of its exact rational counterpart.  Results leave as monic Polynomials; the
+public helpers (s_polynomial, the normal forms) return exact Fractions.
+Order keys are computed once per monomial in a dict owned by one engine
+call.
 """
 
 from __future__ import annotations
@@ -90,22 +101,88 @@ class QuotientBasis:
         return len(self.monomials)
 
 
+# Inside the engines a polynomial is a dict of integer terms, kept
+# primitive: coprime coefficients, a positive multiple of the polynomial it
+# stands for.  A basis element travels as an entry: its leading monomial,
+# its ecart (total degree minus the degree of the leading monomial) and its
+# terms, the first two computed once.
+IntTerms = dict[Monomial, int]
+Entry = tuple[Monomial, int, IntTerms]
+KeyFn = Callable[[Monomial], tuple]
+
+
+class _OrderKeys(dict):
+    """The order keys of the monomials one computation meets, each computed once.
+
+    ``_OrderKeys(order).__getitem__`` is the key function of one engine call;
+    the dict lives only as long as the call.
+    """
+
+    def __init__(self, order: MonomialOrder) -> None:
+        super().__init__()
+        self.key = order.key
+
+    def __missing__(self, mon: Monomial) -> tuple:
+        k = self[mon] = self.key(mon)
+        return k
+
+
+def _integer_terms(p: Polynomial) -> IntTerms:
+    """The terms of _primitive(p), as ints."""
+    return {mon: c.numerator for mon, c in _primitive(p).terms.items()}
+
+
+def _entry(terms: IntTerms, key: KeyFn) -> Entry:
+    """The entry of a nonzero polynomial: (leading monomial, ecart, terms)."""
+    lm = max(terms, key=key)
+    return lm, max(map(sum, terms)) - sum(lm), terms
+
+
+def _monic(nvars: int, terms: IntTerms, lm: Monomial) -> Polynomial:
+    """The monic Polynomial of integer terms whose leading monomial is lm."""
+    lc = terms[lm]
+    return Polynomial._unchecked(nvars, {mon: Fraction(c, lc) for mon, c in terms.items()})
+
+
+def _cancel(f: IntTerms, lm_f: Monomial, g: IntTerms, lm_g: Monomial,
+            lm: Monomial) -> tuple[IntTerms, int]:
+    """The fraction-free step a*z^(lm/lm_f)*f - b*z^(lm/lm_g)*g, cancelling at lm.
+
+    (a, b) are the leading coefficients of g and f over their gcd, signed so
+    that a > 0; returns the new terms and a.  With lm the lcm of the two
+    leading monomials this is an S-polynomial, with lm = lm_f a reduction
+    step of f by g.
+    """
+    lc_f, lc_g = f[lm_f], g[lm_g]
+    d = gcd(lc_f, lc_g)
+    a, b = lc_g // d, lc_f // d
+    if a < 0:
+        a, b = -a, -b
+    if lm == lm_f:
+        out = {mon: a * c for mon, c in f.items()} if a != 1 else dict(f)
+    else:
+        out = {}
+        _add_multiple(out, a, mon_div(lm, lm_f), f)
+    _add_multiple(out, -b, mon_div(lm, lm_g), g)
+    return out, a
+
+
+def _content_free(terms: IntTerms) -> IntTerms:
+    """terms over the gcd of its coefficients."""
+    c = gcd(*terms.values())
+    if c > 1:
+        return {mon: v // c for mon, v in terms.items()}
+    return terms
+
+
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The S-polynomial, cancelling the leading terms of f and g."""
-    lmf = f.leading_monomial(order)
-    lmg = g.leading_monomial(order)
-    lcm = mon_lcm(lmf, lmg)
-    terms: dict[Monomial, Fraction] = {}
-    _add_multiple(terms, 1 / f.terms[lmf], mon_div(lcm, lmf), f)
-    _add_multiple(terms, -1 / g.terms[lmg], mon_div(lcm, lmg), g)
-    return Polynomial._unchecked(f.nvars, terms)
-
-
-def _reduce_once(h: Polynomial, lm_h: Monomial, g: Polynomial, lm_g: Monomial) -> Polynomial:
-    """Cancel the leading term of h against g."""
-    terms = dict(h.terms)
-    _add_multiple(terms, -h.terms[lm_h] / g.terms[lm_g], mon_div(lm_h, lm_g), g)
-    return Polynomial._unchecked(h.nvars, terms)
+    fi, gi = _integer_terms(f), _integer_terms(g)
+    lm_f, lm_g = f.leading_monomial(order), g.leading_monomial(order)
+    s, a = _cancel(fi, lm_f, gi, lm_g, mon_lcm(lm_f, lm_g))
+    # s = a * lc(fi) * S(fi, gi), and S(fi, gi) = S(f, g).
+    unit = a * fi[lm_f]
+    return Polynomial._unchecked(f.nvars, {mon: Fraction(c, unit) for mon, c in s.items()})
 
 
 def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
@@ -117,31 +194,53 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     """
     if order.is_local:
         raise ValueError("global normal form requires a global order")
-    return _full_remainder(p, [(g.leading_monomial(order), g) for g in basis], order)
+    terms = _integer_terms(p)
+    reducers = [_entry(_integer_terms(g), order.key) for g in basis]
+    remainder, scale = _full_remainder(terms, reducers, order.key)
+    if not remainder:
+        return Polynomial._unchecked(p.nvars, {})
+    # remainder = scale * (exact remainder of terms), and terms is a
+    # positive multiple of p.
+    first = next(iter(terms))
+    unit = scale * terms[first] / p.terms[first]
+    return Polynomial._unchecked(p.nvars, {mon: c / unit for mon, c in remainder.items()})
 
 
-def _full_remainder(p: Polynomial, reducers: Sequence[tuple[Monomial, Polynomial]],
-                    order: MonomialOrder) -> Polynomial:
-    """Full division by (leading monomial, polynomial) pairs under a global order."""
-    work = dict(p.terms)
-    remainder: dict[Monomial, Fraction] = {}
-    key = order.key
+def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
+                    key: KeyFn) -> tuple[IntTerms, Fraction]:
+    """Fraction-free full division of primitive p by basis entries under a global order.
+
+    A step scales the terms already moved to the remainder together with the
+    rest, then divides the content out of both.  Returns the primitive
+    remainder and the positive s with remainder = s * (exact remainder of p).
+    """
+    work = dict(p)
+    remainder: IntTerms = {}
+    scale = Fraction(1)
     while work:
         lm = max(work, key=key)
-        for lm_g, g in reducers:
+        for lm_g, _, g in reducers:
             if mon_divides(lm_g, lm):
-                _add_multiple(work, -work[lm] / g.terms[lm_g], mon_div(lm, lm_g), g)
+                work, a = _cancel(work, lm, g, lm_g, lm)
+                if a != 1:
+                    remainder = {mon: a * c for mon, c in remainder.items()}
+                    scale *= a
+                c = gcd(gcd(*work.values()), *remainder.values())
+                if c > 1:
+                    work = {mon: v // c for mon, v in work.items()}
+                    remainder = {mon: v // c for mon, v in remainder.items()}
+                    scale /= c
                 break
         else:
             remainder[lm] = work.pop(lm)
-    return Polynomial._unchecked(p.nvars, remainder)
+    return remainder, scale
 
 
 # Limits on one direct Mora run before the ideal is handed to the
 # homogenizing lift instead.  Tame inputs use a few hundred steps, small
 # coefficients and short polynomials; a creeping reduction blows all three up
-# together, and the bit bound trips well before the arithmetic gets
-# expensive.
+# together, and the bit bound (a leading coefficient of _MORA_COEFF_BITS bits
+# or more) trips well before the arithmetic gets expensive.
 _MORA_STEP_LIMIT = 2000
 _MORA_TERM_LIMIT = 1500
 _MORA_COEFF_BITS = 1024
@@ -159,19 +258,25 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     monomial of the basis (or zero).  Unlike ordinary division the tail may
     keep reducible monomials: there exists a unit u with u*p = sum + result,
     which is exactly what leading-ideal and dimension computations need.
+    After a reduction step the result is primitive; without one it is p.
     """
     if not order.is_local:
         raise ValueError("Mora normal form requires a local order")
-    reducers = [(g.leading_monomial(order), g) for g in basis if g.terms]
-    return _mora_weak_nf(p, reducers, order, None)
+    terms = _integer_terms(p)
+    reducers = [_entry(_integer_terms(g), order.key) for g in basis if g.terms]
+    h = _mora_weak_nf(terms, reducers, order.key, None)
+    if h is terms:
+        return p
+    return Polynomial._unchecked(p.nvars, {mon: Fraction(c) for mon, c in h.items()})
 
 
 def _primitive(p: Polynomial) -> Polynomial:
     """Rescale by a positive rational so the coefficients are coprime integers.
 
     Scaling changes no reduction decision (reducers are chosen by leading
-    monomial alone), but keeping intermediate polynomials primitive stops the
-    exponential denominator growth of repeated monic division.
+    monomial alone), so the engines start from the primitive generators and
+    keep every intermediate polynomial primitive: integer arithmetic without
+    the denominator growth of repeated monic division.
     """
     if not p.terms:
         return p
@@ -186,53 +291,49 @@ def _primitive(p: Polynomial) -> Polynomial:
     return Polynomial._unchecked(p.nvars, {mon: c * scale for mon, c in p.terms.items()})
 
 
-def _mora_weak_nf(p: Polynomial, reducers: Sequence[tuple[Monomial, Polynomial]],
-                  order: MonomialOrder, budget: list[int] | None) -> Polynomial:
-    """Mora's weak normal form by (leading monomial, polynomial) pairs.
+def _mora_weak_nf(h: IntTerms, reducers: Sequence[Entry], key: KeyFn,
+                  budget: list[int] | None) -> IntTerms:
+    """Mora's weak normal form of primitive h by basis entries, fraction-free.
 
-    Every reduction step leaves a primitive remainder (see _primitive).  With
-    a ``budget`` (a one-element list of remaining steps) every step is
-    charged against it and against the term and coefficient limits, raising
-    _BudgetExhausted when one runs out.
+    Every reduction step leaves a primitive remainder; without a step h
+    itself is returned.  With a ``budget`` (a one-element list of remaining
+    steps) every step is charged against it and against the term and
+    coefficient limits, raising _BudgetExhausted when one runs out.
     """
-
-    def ecart(f: Polynomial, lm: Monomial) -> int:
-        return f.total_degree() - mon_degree(lm)
-
-    # Reducer pool; entries are (lm, ecart, polynomial, insertion index).
-    pool = [(lm, ecart(g, lm), g, i) for i, (lm, g) in enumerate(reducers)]
+    # Reducer pool; entries are (lm, ecart, terms, insertion index).
+    pool = [(lm, ec, g, i) for i, (lm, ec, g) in enumerate(reducers)]
     counter = len(pool)
-    h = p
-    while h.terms:
-        lm_h = h.leading_monomial(order)
+    while h:
+        lm_h = max(h, key=key)
         candidates = [e for e in pool if mon_divides(e[0], lm_h)]
         if not candidates:
             break
         if budget is not None:
             budget[0] -= 1
-            lc = h.terms[lm_h]
             if (
                 budget[0] < 0
-                or len(h.terms) > _MORA_TERM_LIMIT
-                or lc.numerator.bit_length() + lc.denominator.bit_length()
-                > _MORA_COEFF_BITS
+                or len(h) > _MORA_TERM_LIMIT
+                or h[lm_h].bit_length() >= _MORA_COEFF_BITS
             ):
                 raise _BudgetExhausted
-        lm_g, ec_g, g, _ = min(
-            candidates, key=lambda e: (e[1], order.key(e[0]), e[3])
-        )
-        if ec_g > ecart(h, lm_h):
-            # Recruiting h itself keeps later reductions from raising the
-            # ecart without bound; this is what makes Mora division terminate.
-            pool.append((lm_h, ecart(h, lm_h), h, counter))
-            counter += 1
-        h = _primitive(_reduce_once(h, lm_h, g, lm_g))
+        lm_g, ec_g, g, _ = min(candidates, key=lambda e: (e[1], key(e[0]), e[3]))
+        # An ecart is never negative, so only a reducer of positive ecart can
+        # exceed the ecart of h.
+        if ec_g:
+            ec_h = max(map(sum, h)) - sum(lm_h)
+            if ec_g > ec_h:
+                # Recruiting h itself keeps later reductions from raising the
+                # ecart without bound; this is what makes Mora division
+                # terminate.
+                pool.append((lm_h, ec_h, h, counter))
+                counter += 1
+        h = _content_free(_cancel(h, lm_h, g, lm_g, lm_h)[0])
     return h
 
 
 def _update_pairs(lms: Sequence[Monomial], live: list[int],
                   pending: dict[tuple[int, int], Monomial], queue: list,
-                  order: MonomialOrder) -> None:
+                  key: KeyFn) -> None:
     """Gebauer and Moeller's update for the newest basis element.
 
     An old pair is dropped when the new leading monomial m divides its lcm
@@ -262,58 +363,59 @@ def _update_pairs(lms: Sequence[Monomial], live: list[int],
     for i, lcm, coprime in kept:
         if not coprime:
             pending[(i, t)] = lcm
-            heappush(queue, (mon_degree(lcm), order.key(lcm), i, t))
+            heappush(queue, (mon_degree(lcm), key(lcm), i, t))
     live[:] = [i for i in live if not mon_divides(m, lms[i])]
     live.append(t)
 
 
-def _pair_loop(generators: Sequence[Polynomial], order: MonomialOrder,
-               reduce: Callable[..., Polynomial]) -> list[tuple[Monomial, Polynomial]]:
+def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
+               reduce: Callable[..., IntTerms]) -> list[Entry]:
     """Buchberger's pair loop with Gebauer and Moeller's pruning, under any order.
 
-    ``reduce(p, reducers, order)`` takes an S-polynomial to a remainder whose
-    leading monomial no reducer's leading monomial divides, or to zero;
-    every element the loop keeps is made primitive.  Returns the
-    (leading monomial, element) pairs of the elements that still take part
-    in reduction; their leading monomials generate the leading ideal.
+    The generators are primitive integer terms.  ``reduce(p, reducers,
+    key)`` takes a primitive S-polynomial to a primitive remainder whose
+    leading monomial no reducer's leading monomial divides, or to zero.
+    Returns the entries of the elements that still take part in reduction;
+    their leading monomials generate the leading ideal.
     """
-    basis: list[Polynomial] = []
+    elements: list[Entry] = []
     lms: list[Monomial] = []
     live: list[int] = []
     pending: dict[tuple[int, int], Monomial] = {}
     queue: list = []
 
-    def insert(h: Polynomial) -> None:
-        basis.append(_primitive(h))
-        lms.append(h.leading_monomial(order))
-        _update_pairs(lms, live, pending, queue, order)
+    def insert(h: IntTerms) -> None:
+        elements.append(_entry(h, key))
+        lms.append(elements[-1][0])
+        _update_pairs(lms, live, pending, queue, key)
 
     for g in generators:
-        if g.terms:
+        if g:
             insert(g)
     while queue:
         *_, i, j = heappop(queue)
-        if pending.pop((i, j), None) is None:
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
             continue
-        h = reduce(s_polynomial(basis[i], basis[j], order), [(lms[k], basis[k]) for k in live],
-                   order)
-        if h.terms:
+        (lm_i, _, f), (lm_j, _, g) = elements[i], elements[j]
+        s, _ = _cancel(f, lm_i, g, lm_j, lcm)
+        h = reduce(_content_free(s), [elements[k] for k in live], key)
+        if h:
             insert(h)
-    return [(lms[k], basis[k]) for k in live]
+    return [elements[k] for k in live]
 
 
-def _minimalize(pairs: Sequence[tuple[Monomial, Polynomial]],
-                order: MonomialOrder) -> list[tuple[Monomial, Polynomial]]:
-    """Drop elements whose leading monomial another's divides; make the rest monic.
+def _minimalize(entries: Sequence[tuple], key: KeyFn) -> list[tuple]:
+    """Drop the elements whose leading monomial another's divides.
 
-    Takes and returns (leading monomial, element) pairs, the result sorted by
-    decreasing leading monomial.
+    Takes and returns tuples whose first item is the leading monomial, the
+    result sorted by decreasing leading monomial.
     """
-    kept: list[tuple[Monomial, Polynomial]] = []
-    for lm, g in sorted(pairs, key=lambda t: (mon_degree(t[0]), order.key(t[0]))):
-        if not any(mon_divides(lm_k, lm) for lm_k, _ in kept):
-            kept.append((lm, g.monic(order)))
-    kept.sort(key=lambda t: order.key(t[0]), reverse=True)
+    kept: list[tuple] = []
+    for e in sorted(entries, key=lambda e: (mon_degree(e[0]), key(e[0]))):
+        if not any(mon_divides(k[0], e[0]) for k in kept):
+            kept.append(e)
+    kept.sort(key=lambda e: key(e[0]), reverse=True)
     return kept
 
 
@@ -322,13 +424,18 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     order = gens.order
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
-    live = _pair_loop(gens.generators, order, _full_remainder)
-    minimal = _minimalize(live, order)
+    key = _OrderKeys(order).__getitem__
+    live = _pair_loop(
+        [_integer_terms(g) for g in gens.generators],
+        key,
+        lambda p, reducers, key: _full_remainder(p, reducers, key)[0],
+    )
+    minimal = _minimalize(live, key)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
     reduced = [
-        _full_remainder(g, minimal[:i] + minimal[i + 1 :], order)
-        for i, (_, g) in enumerate(minimal)
+        _monic(order.nvars, _full_remainder(g, minimal[:i] + minimal[i + 1 :], key)[0], lm)
+        for i, (lm, _, g) in enumerate(minimal)
     ]
     return ReducedBasis(tuple(reduced), order, "global")
 
@@ -363,8 +470,8 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
         MonomialOrder("homogenized", order.nvars + 1),
     )
     polys = [_dehomogenize(b) for b in buchberger_global(lifted).elements]
-    minimal = _minimalize([(g.leading_monomial(order), g) for g in polys], order)
-    return ReducedBasis(tuple(g for _, g in minimal), order, "local")
+    minimal = _minimalize([(g.leading_monomial(order), g) for g in polys], order.key)
+    return ReducedBasis(tuple(g.monic(order) for _, g in minimal), order, "local")
 
 
 def mora_local(gens: GeneratorSet) -> ReducedBasis:
@@ -383,12 +490,16 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
     order = gens.order
     if not order.is_local:
         raise ValueError("mora_local requires a local order")
+    key = _OrderKeys(order).__getitem__
     reduce = partial(_mora_weak_nf, budget=[_MORA_STEP_LIMIT])
     try:
-        live = _pair_loop(gens.generators, order, reduce)
+        live = _pair_loop([_integer_terms(g) for g in gens.generators], key, reduce)
     except _BudgetExhausted:
         return _homogenized_local(gens)
-    return ReducedBasis(tuple(g for _, g in _minimalize(live, order)), order, "local")
+    minimal = _minimalize(live, key)
+    return ReducedBasis(
+        tuple(_monic(order.nvars, g, lm) for lm, _, g in minimal), order, "local"
+    )
 
 
 def normal_form(p: Polynomial, basis: ReducedBasis) -> Polynomial:

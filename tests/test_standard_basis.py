@@ -1,5 +1,6 @@
 """Global Groebner bases, local standard bases, and quotient extraction."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,13 @@ from eqidx import standard_basis
 from eqidx.equiv_index import DiagonalAction, OneForm, index_report
 from eqidx.errors import NonZeroDimensionalError
 from eqidx.generator import random_case
-from eqidx.poly import MonomialOrder, Polynomial, mon_divides, parse_polynomial
+from eqidx.poly import (
+    MonomialOrder,
+    Polynomial,
+    format_polynomial,
+    mon_divides,
+    parse_polynomial,
+)
 from eqidx.rep_rings import CyclicGroup
 from eqidx.standard_basis import (
     GeneratorSet,
@@ -317,20 +324,8 @@ def test_truncate_primitive_homogenize_helpers():
     assert _dehomogenize(h) == P("z1^2 + z2 + 1", 2)
 
 
-def test_scaling_generators_leaves_basis_unchanged():
-    rng = random.Random(113)
-    texts = ("z1^2 - z2^3", "z1*z2 + z2^4")
-    reference = mora_local(local_gens(texts, 2))
-    for _ in range(5):
-        scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
-        scaled = tuple(P(t, 2) * s for t, s in zip(texts, scales))
-        got = mora_local(GeneratorSet(scaled, MonomialOrder.local_order(2)))
-        assert got.elements == reference.elements
-
-
-def test_all_local_engines_agree(monkeypatch):
-    # mora_local hands an ideal to the lift only when it trips a budget;
-    # count the hand-offs, so that this stays a comparison of two routes.
+def _counted_lifts(monkeypatch):
+    """Record every ideal mora_local hands to the homogenized lift."""
     lifts = []
 
     def counted_lift(gens):
@@ -338,6 +333,35 @@ def test_all_local_engines_agree(monkeypatch):
         return _homogenized_local(gens)
 
     monkeypatch.setattr(standard_basis, "_homogenized_local", counted_lift)
+    return lifts
+
+
+def test_scaling_generators_leaves_basis_unchanged(monkeypatch):
+    # Scales of both signs: every reduction step rescales by a positive
+    # number, so a generator's sign must not reach the basis either.
+    lifts = _counted_lifts(monkeypatch)
+    rng = random.Random(113)
+    for texts, engine, gens in (
+        (("z1^2 - z2^3", "z1*z2 + z2^4"), mora_local, local_gens),
+        (("z1^2 - z2", "z2^2", "z1*z2 + z1^2"), buchberger_global, global_gens),
+    ):
+        reference = engine(gens(texts, 2))
+        for _ in range(8):
+            scales = [
+                Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+                for _ in texts
+            ]
+            scales[0] = -abs(scales[0])
+            scaled = tuple(P(t, 2) * s for t, s in zip(texts, scales))
+            got = engine(GeneratorSet(scaled, reference.order))
+            assert got.elements == reference.elements
+    assert lifts == []
+
+
+def test_all_local_engines_agree(monkeypatch):
+    # mora_local hands an ideal to the lift only when it trips a budget;
+    # count the hand-offs, so that this stays a comparison of two routes.
+    lifts = _counted_lifts(monkeypatch)
     rng = random.Random(977)
     done = 0
     while done < 15:
@@ -432,3 +456,104 @@ def test_normal_form_dispatch():
     assert l.kind == "local"
     assert normal_form(P("z^2", 1), g) == P("1", 1)
     assert normal_form(P("z^3", 1), l).is_zero()
+
+
+HARD_IDEALS = (
+    ("-3/2*z1^5 + 2*z1^2*z2*z3^2", "3*z2^5 - 3/2*z1^2*z2", "3*z1^3*z2*z3 - 2*z3^5 + z2^2*z3"),
+    ("3*z1^4 + z1^3*z2 + 3*z2^3*z3", "-z2^4", "-3/2*z3^6 + 1/2*z2*z3^3 + 2*z1^3"),
+    ("1/2*z1^5 + 2*z1^3*z2^2", "-z2^5 - 2*z1*z3^2", "-3/2*z3^5 - 2*z2^4 - 2*z2"),
+)
+
+
+def _basis_digest(bases):
+    digest = hashlib.sha256()
+    for basis in bases:
+        for g in basis.elements:
+            digest.update(format_polynomial(g).encode() + b"\n")
+        digest.update(b";\n")
+    return digest.hexdigest()
+
+
+def test_engine_bases_are_pinned(monkeypatch):
+    # Every element of both engines' bases on a fixed corpus, and the number
+    # of ideals the local engine hands to the lift, recorded when every
+    # reduction step ran in exact rational arithmetic: a change to the
+    # engines' arithmetic or to their budget decisions shows here.
+    local = [
+        random_case(random.Random(s), max_order=6, max_vars=3, max_degree=6)[0].components
+        for s in range(40)
+    ]
+    local += [tuple(P(t, 3) for t in texts) for texts in HARD_IDEALS]
+    polys = []
+    for s in range(12):
+        rng = random.Random(s)
+        n = rng.randint(2, 3)
+        polys.append(_random_polys(rng, n, rng.randint(2, 3), 3))
+        polys.append([_homogenize(p) for p in _random_polys(rng, n, rng.randint(2, 4), 2)])
+    polys += [_deformed_pure_power_form(random.Random(100 + s), 3) for s in range(8)]
+    lifts = _counted_lifts(monkeypatch)
+    local_bases = [
+        mora_local(GeneratorSet(tuple(c), MonomialOrder.local_order(c[0].nvars))) for c in local
+    ]
+    global_bases = [
+        buchberger_global(GeneratorSet(tuple(c), MonomialOrder.global_order(c[0].nvars)))
+        for c in polys
+    ]
+    assert len(lifts) == 4
+    assert (
+        _basis_digest(local_bases)
+        == "8756327641d3efbb3eea211ff491932f95cd4c198c3c62e74915a66fc348eb9e"
+    )
+    assert (
+        _basis_digest(global_bases)
+        == "83b7898f468f4d1c4b1227045fb0bb9fc272f215e444713493284d5b3ce90d12"
+    )
+
+
+def test_public_helpers_are_pinned():
+    # Exact outputs of the public reduction helpers on fixed inputs, with
+    # fractional and negative leading coefficients under both kinds of order.
+    glob = MonomialOrder.global_order(2)
+    loc = MonomialOrder.local_order(2)
+    f = P("-2/3*z1^2*z2 + 5*z2^3 - 1/7", 2)
+    g = P("3/4*z1*z2^2 - z1 + 2/5", 2)
+    u = P("-3/2*z1 + z1^2*z2 - 4/5*z2^3", 2)
+    v = P("4*z2 - 1/3*z1*z2^2 + 7/2*z1^2", 2)
+    local_basis = [P("-2/3*z1^3 + z2^4", 2), P("5/2*z2^3 - z1^4*z2", 2)]
+    global_basis = [P("-2/3*z1^2 + z2", 2), P("5/2*z2^2 - z1 + 1/3", 2)]
+    outputs = {
+        "s global": s_polynomial(f, g, glob),
+        "s global swapped": s_polynomial(g, f, glob),
+        "s local": s_polynomial(u, v, loc),
+        "primitive": _primitive(P("-2/3*z1^2 + 4/9*z2 - 8", 2)),
+        "mora": mora_normal_form(P("1/3*z1^3 - 2*z1^4*z2 + z1^2*z2^2 + z2^5", 2), local_basis, loc),
+        "mora to zero": mora_normal_form(
+            P("z1^2*z2 - 3/2*z2^4", 2), [P("-2/3*z1^2 + z2^3", 2)], loc
+        ),
+        "global": global_normal_form(P("-5/3*z1^4 + z1*z2^3 - 1/2", 2), global_basis, glob),
+        "normal global": normal_form(
+            P("7/3*z1^3*z2 - z2^2", 2), buchberger_global(GeneratorSet(tuple(global_basis), glob))
+        ),
+        "normal local": normal_form(
+            P("2/5*z2^3 - 3*z1*z2^4 + z1^5 + 7*z1^2*z2^2", 2), mora_local(GeneratorSet(tuple(local_basis), loc))
+        ),
+    }
+    for name, p in outputs.items():
+        assert all(type(c) is Fraction for c in p.terms.values()), name
+    assert {name: format_polynomial(p) for name, p in outputs.items()} == {
+        "s global": "-15/2*z2^4 + 4/3*z1^2 - 8/15*z1 + 3/14*z2",
+        "s global swapped": "15/2*z2^4 - 4/3*z1^2 + 8/15*z1 - 3/14*z2",
+        "s local": "-7/12*z1^2*z2^2 + 8/15*z2^4 - 7/8*z1^3",
+        "primitive": "-3*z1^2 + 2*z2 - 36",
+        "mora": "-4*z1^4*z2 + 2*z2^5 + 2*z1^2*z2^2 + z2^4",
+        "mora to zero": "0",
+        "global": "-2/15*z1*z2 - 63/50*z1 - 2/25",
+        "normal global": "-13/15*z1 + 21/10*z2 + 2/15",
+        "normal local": "25*z1^5 + 4*z1^4*z2 - 75*z1*z2^4 + 175*z1^2*z2^2",
+    }
+    # Where no reduction step runs, the input comes back as it is.
+    for p in (P("-3/2*z1 + z2^2", 2), P("1/3*z1*z2", 2), Polynomial.zero(2)):
+        assert mora_normal_form(p, local_basis, loc) is p
+    primitive = P("-z1 + 2*z2", 2)
+    assert _primitive(primitive) is primitive
+    assert global_normal_form(P("-1/2*z1 + 3", 2), global_basis, glob) == P("-1/2*z1 + 3", 2)
