@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -207,9 +208,10 @@ def _global_quotient(form: OneForm) -> QuotientBasis:
 def _character_of_quotient(qb: QuotientBasis, action: DiagonalAction) -> RepRingElement:
     m = action.group.order
     twist = action.volume_weight()
+    weights = action.weights
     coeffs = [0] * m
     for mon in qb.monomials:
-        coeffs[(action.weight_of(mon) + twist) % m] += 1
+        coeffs[(sum(map(mul, mon, weights)) + twist) % m] += 1
     return RepRingElement(action.group, tuple(coeffs))
 
 

@@ -10,16 +10,18 @@ and printer for the textual input grammar.
 Every sum of terms goes through one in-place kernel, ``_add_multiple``
 (terms += q * z^shift * other, on plain monomial-to-coefficient dicts): with
 Fraction coefficients it serves polynomial addition, subtraction,
-multiplication and substitution here; with int coefficients it serves the
+multiplication (``_product``), powers (``_power``) and substitution here, and
+the parser, whose values are term dicts; with int coefficients it serves the
 fraction-free S-polynomials and reduction steps of the basis engines.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, neg, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import add, le, mul, neg, sub
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .errors import DimensionMismatchError, ParseError
 
@@ -54,15 +56,14 @@ def monomial_weight(mon: Monomial, weights: Sequence[int], modulus: int) -> int:
     The group element acting by the primitive root scales z^mon by the root
     raised to this value.
     """
-    return sum(e * w for e, w in zip(mon, weights)) % modulus
+    return sum(map(mul, mon, weights)) % modulus
 
 
 def _add_multiple(terms: dict, q: int | Fraction, shift: Monomial,
                   other: Mapping[Monomial, int | Fraction]) -> None:
     """terms += q * z^shift * other, in place, dropping the terms that cancel.
 
-    ``terms`` and ``other`` map monomials to coefficients, all Fractions or
-    all ints.
+    ``terms`` and ``other`` map monomials to int or Fraction coefficients.
     """
     for mon, c in other.items():
         mon = tuple(map(add, mon, shift))
@@ -73,6 +74,35 @@ def _add_multiple(terms: dict, q: int | Fraction, shift: Monomial,
             terms[mon] = s
         else:
             del terms[mon]
+
+
+def _product(a: Mapping[Monomial, int | Fraction],
+             b: Mapping[Monomial, int | Fraction]) -> dict:
+    """The product of two term dicts, as a new dict."""
+    if len(a) == 1 == len(b):
+        ((ma, ca),), ((mb, cb),) = a.items(), b.items()
+        return {tuple(map(add, ma, mb)): ca * cb}
+    if len(a) < len(b):
+        a, b = b, a
+    out: dict = {}
+    for mon, c in b.items():
+        _add_multiple(out, c, mon, a)
+    return out
+
+
+def _power(terms: Mapping[Monomial, int | Fraction], e: int, one: dict) -> dict:
+    """terms ** e as a new dict, by repeated squaring; ``one`` is the unit."""
+    if len(terms) == 1:
+        ((mon, c),) = terms.items()
+        return {tuple(x * e for x in mon): c**e}
+    result = one
+    while e:
+        if e & 1:
+            result = _product(result, terms)
+        e >>= 1
+        if e:
+            terms = _product(terms, terms)
+    return result
 
 
 _GLOBAL_KINDS = ("degrevlex", "deglex", "homogenized")
@@ -253,25 +283,15 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[Monomial, Fraction] = {}
-        for mon, c in self.terms.items():
-            _add_multiple(out, c, mon, other.terms)
-        return Polynomial._unchecked(self.nvars, out)
+        return Polynomial._unchecked(self.nvars, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        one = {(0,) * self.nvars: Fraction(1)}
+        return Polynomial._unchecked(self.nvars, _power(self.terms, exponent, one))
 
     def total_degree(self) -> int:
         """Maximum degree of a term, or -1 for the zero polynomial."""
@@ -404,6 +424,15 @@ class Polynomial:
         return f"Polynomial({self.nvars}, {format_polynomial(self)!r})"
 
 
+# One token: an ASCII integer, a variable name, or any other single
+# character, after optional whitespace.
+_TOKEN = re.compile(r"\s*([0-9]+|z[0-9]*|\S)")
+
+
+def _is_integer(token: str) -> bool:
+    return "0" <= token[:1] <= "9"
+
+
 class _Parser:
     """Recursive descent for sums of products of powers of atoms.
 
@@ -413,108 +442,104 @@ class _Parser:
     atom   := INT [/ INT] | VAR | ( expr )
 
     Variables are z1..zn; when n is 1 the bare name z is accepted as well.
-    Exponents and literals are nonnegative integers, negative values arise
-    only from the leading sign of a term.  ``pos`` is the index of the next
-    unread character, which every ParseError reports.
+    Exponents and literals are nonnegative integers written in the ASCII
+    digits 0-9; negative values arise only from the leading sign of a term.
+    The text is split into tokens by one regular expression up front, and
+    every value is a plain term dict (monomial to int or Fraction, no zero
+    coefficients) owned by the parser, so a sum accumulates in place; only
+    the final result becomes a Polynomial.  A ParseError reports the offset
+    of the offending token, or the length of the text at its end.
     """
 
     def __init__(self, text: str, nvars: int):
         self.text = text
         self.nvars = nvars
-        self.pos = 0
+        self.zero = (0,) * nvars
+        # The empty string marks the end of the input.
+        self.tokens = _TOKEN.findall(text) + [""]
+        self.k = 0
 
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_space()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take(self) -> str:
-        ch = self.peek()
-        if ch:
-            self.pos += 1
-        return ch
+    def fail(self, message: str, k: int | None = None, offset: int = 0) -> NoReturn:
+        """Raise a ParseError at token k (default: the next one), plus offset."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        raise ParseError(message, starts[self.k if k is None else k] + offset)
 
     def integer(self) -> int:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        token = self.tokens[self.k]
+        if not _is_integer(token):
+            self.fail("expected an integer")
+        self.k += 1
+        return int(token)
 
     def parse(self) -> Polynomial:
-        p = self.expr()
-        self.skip_space()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return p
+        terms = self.expr()
+        token = self.tokens[self.k]
+        if token:
+            self.fail(f"unexpected {token[0]!r}")
+        return Polynomial._unchecked(
+            self.nvars,
+            {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()},
+        )
 
-    def expr(self) -> Polynomial:
-        sign = 1
-        if self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -1
-        acc = self.term() * sign
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
+    def expr(self) -> dict:
+        tokens = self.tokens
+        sign = tokens[self.k]
+        if sign == "+" or sign == "-":
+            self.k += 1
+        acc = self.term()
+        if sign == "-":
+            acc = {m: -c for m, c in acc.items()}
+        while (op := tokens[self.k]) == "+" or op == "-":
+            self.k += 1
+            _add_multiple(acc, 1 if op == "+" else -1, self.zero, self.term())
         return acc
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         acc = self.factor()
-        while self.peek() == "*":
-            self.take()
-            acc = acc * self.factor()
+        while self.tokens[self.k] == "*":
+            self.k += 1
+            acc = _product(acc, self.factor())
         return acc
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.integer()
-            base = base**e
-        return base
+        if self.tokens[self.k] != "^":
+            return base
+        self.k += 1
+        return _power(base, self.integer(), {self.zero: 1})
 
-    def atom(self) -> Polynomial:
-        ch = self.peek()
-        if ch == "(":
-            self.take()
+    def atom(self) -> dict:
+        token = self.tokens[self.k]
+        if token == "(":
+            self.k += 1
             p = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.take()
+            if self.tokens[self.k] != ")":
+                self.fail("expected ')'")
+            self.k += 1
             return p
-        if ch.isdigit():
-            num = self.integer()
-            if self.peek() == "/":
-                self.take()
-                at = self.pos
+        if _is_integer(token):
+            self.k += 1
+            c = int(token)
+            if self.tokens[self.k] == "/":
+                self.k += 1
                 den = self.integer()
                 if den == 0:
-                    raise ParseError("zero denominator", at)
-                return Polynomial.constant(self.nvars, Fraction(num, den))
-            return Polynomial.constant(self.nvars, num)
-        if ch == "z":
-            at = self.pos
-            self.take()
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                idx = self.integer()
-                if not 1 <= idx <= self.nvars:
-                    raise ParseError(
-                        f"variable z{idx} out of range for {self.nvars} variables", at
-                    )
-                return Polynomial.variable(self.nvars, idx - 1)
-            if self.nvars == 1:
-                return Polynomial.variable(1, 0)
-            raise ParseError("bare variable z is only valid in one variable", at)
-        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input", self.pos)
+                    # Reported just past the '/'.
+                    self.fail("zero denominator", self.k - 2, 1)
+                c = Fraction(c, den)
+            return {self.zero: c} if c else {}
+        if token[:1] == "z":
+            if len(token) > 1:
+                i = int(token[1:])
+                if not 1 <= i <= self.nvars:
+                    self.fail(f"variable z{i} out of range for {self.nvars} variables")
+            elif self.nvars == 1:
+                i = 1
+            else:
+                self.fail("bare variable z is only valid in one variable")
+            self.k += 1
+            return {self.zero[: i - 1] + (1,) + self.zero[i:]: 1}
+        self.fail(f"unexpected {token[0]!r}" if token else "unexpected end of input")
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:

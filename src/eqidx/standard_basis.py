@@ -17,8 +17,8 @@ the local reduction guards its step count, term counts and coefficient
 sizes.  One rule picks the route: a run that trips a guard is abandoned and
 the ideal goes through the homogenizing lift, a global Groebner basis of the
 homogenized generators that always terminates and recovers a minimal
-standard basis of the same ideal.  Quotient extraction enumerates the
-standard monomials of a zero-dimensional leading ideal.
+standard basis of the same ideal.  Quotient extraction walks the staircase
+of a zero-dimensional leading ideal to its standard monomials.
 
 Coefficients are Fractions only at the Polynomial boundary.  Generators
 enter as primitive integer term dicts (coprime integer coefficients, see
@@ -34,12 +34,14 @@ call.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import product
+from itertools import count
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import NonZeroDimensionalError
@@ -300,13 +302,17 @@ def _mora_weak_nf(h: IntTerms, reducers: Sequence[Entry], key: KeyFn,
     steps) every step is charged against it and against the term and
     coefficient limits, raising _BudgetExhausted when one runs out.
     """
-    # Reducer pool; entries are (lm, ecart, terms, insertion index).
-    pool = [(lm, ec, g, i) for i, (lm, ec, g) in enumerate(reducers)]
+    # The reducer pool, sorted by (ecart, order key of lm, insertion index):
+    # the first entry whose leading monomial divides lm(h) is the reducer of
+    # least ecart, then least leading monomial, then oldest.
+    pool = sorted((ec, key(lm), i, lm, g) for i, (lm, ec, g) in enumerate(reducers))
     counter = len(pool)
     while h:
         lm_h = max(h, key=key)
-        candidates = [e for e in pool if mon_divides(e[0], lm_h)]
-        if not candidates:
+        for ec_g, _, _, lm_g, g in pool:
+            if mon_divides(lm_g, lm_h):
+                break
+        else:
             break
         if budget is not None:
             budget[0] -= 1
@@ -316,7 +322,6 @@ def _mora_weak_nf(h: IntTerms, reducers: Sequence[Entry], key: KeyFn,
                 or h[lm_h].bit_length() >= _MORA_COEFF_BITS
             ):
                 raise _BudgetExhausted
-        lm_g, ec_g, g, _ = min(candidates, key=lambda e: (e[1], key(e[0]), e[3]))
         # An ecart is never negative, so only a reducer of positive ecart can
         # exceed the ecart of h.
         if ec_g:
@@ -325,7 +330,7 @@ def _mora_weak_nf(h: IntTerms, reducers: Sequence[Entry], key: KeyFn,
                 # Recruiting h itself keeps later reductions from raising the
                 # ecart without bound; this is what makes Mora division
                 # terminate.
-                pool.append((lm_h, ec_h, h, counter))
+                insort(pool, (ec_h, key(lm_h), counter, lm_h, h))
                 counter += 1
         h = _content_free(_cancel(h, lm_h, g, lm_g, lm_h)[0])
     return h
@@ -516,29 +521,49 @@ def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
     contains a pure power of every variable; otherwise
     NonZeroDimensionalError reports a variable with no such power.  The
     monomials outside the leading ideal are returned sorted by increasing
-    degree (deterministic tie-break), and they form an order ideal: any
+    degree, ties broken by degrevlex, and they form an order ideal: any
     divisor of a standard monomial is standard.
+
+    The staircase is walked by prefix.  A prefix of exponents keeps only the
+    leading monomials it dominates in those positions; it is extended while
+    the prefix padded with zeros is still standard, and in the last position
+    the exponent runs up to the least last exponent of the kept monomials.
+    Every prefix visited starts a standard monomial, so the time grows with
+    the dimension times the number of leading monomials and the memory with
+    the dimension, not with the box under the pure powers.
     """
-    order = basis.order
-    n = order.nvars
+    n = basis.order.nvars
     lms = basis.leading_monomials()
-    bounds: list[int] = []
     for i in range(n):
-        pure = [
-            lm[i]
-            for lm in lms
-            if all(e == 0 for j, e in enumerate(lm) if j != i)
-        ]
-        if not pure:
+        if not any(lm[i] == sum(lm) for lm in lms):
             raise NonZeroDimensionalError(
                 f"no pure power of z{i + 1} in the leading ideal", variable=i
             )
-        bounds.append(min(pure))
-    monomials = [
-        mon
-        for mon in product(*(range(b) for b in bounds))
-        if not any(mon_divides(lm, mon) for lm in lms)
-    ]
-    ranking = MonomialOrder("degrevlex", n)
-    monomials.sort(key=ranking.key)
+    if n == 0:
+        return QuotientBasis(() if lms else ((),))
+    monomials: list[Monomial] = []
+
+    def walk(prefix: Monomial, kept: Sequence[Monomial]) -> None:
+        i = len(prefix)
+        if i == n - 1:
+            top = min(map(itemgetter(i), kept))
+            monomials.extend(prefix + (e,) for e in range(top))
+            return
+        kept = sorted(kept, key=itemgetter(i))
+        dominated: list[Monomial] = []
+        j = 0
+        for e in count():
+            # Admit the leading monomials the prefix now dominates in
+            # position i; one with a zero tail ends this prefix for good.
+            while j < len(kept) and kept[j][i] <= e:
+                if not any(kept[j][i + 1 :]):
+                    return
+                dominated.append(kept[j])
+                j += 1
+            walk(prefix + (e,), dominated)
+
+    walk((), lms)
+    # degrevlex: decreasing reversed exponents within a degree.
+    monomials.sort(key=lambda mon: mon[::-1], reverse=True)
+    monomials.sort(key=sum)
     return QuotientBasis(tuple(monomials))

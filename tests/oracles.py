@@ -29,6 +29,26 @@ def monomials_of_degree_below(nvars: int, bound: int) -> list[tuple[int, ...]]:
     return out
 
 
+def box_standard_monomials(leading, nvars: int) -> list[tuple[int, ...]]:
+    """Standard monomials of a zero-dimensional monomial ideal, by scanning a box.
+
+    Every exponent tuple below the least pure power of each variable is
+    tested against every generator; the survivors are sorted by degree, then
+    by reverse lexicographic tie-break (degrevlex).
+    """
+    bounds = [
+        min(lm[i] for lm in leading if all(e == 0 for j, e in enumerate(lm) if j != i))
+        for i in range(nvars)
+    ]
+    out = [
+        mon
+        for mon in product(*(range(b) for b in bounds))
+        if not any(all(a <= e for a, e in zip(lm, mon)) for lm in leading)
+    ]
+    out.sort(key=lambda mon: (sum(mon), tuple(-e for e in reversed(mon))))
+    return out
+
+
 def _fraction_rank(rows: list[list[Fraction]]) -> int:
     rows = [row[:] for row in rows]
     ncols = len(rows[0]) if rows else 0

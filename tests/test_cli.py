@@ -141,6 +141,12 @@ def test_input_error_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "index", "--input", broken_poly)
     assert code == 2 and json.loads(out)["error"] == "Parse"
 
+    superscript = write_json(
+        tmp_path, {"group": {"order": 1}, "weights": [0], "form": ["z1^²"]}, "s.json"
+    )
+    code, out = run(capsys, "index", "--input", superscript)
+    assert code == 2 and json.loads(out)["error"] == "Parse"
+
 
 def test_usage_errors_and_help(capsys):
     assert main(["index"]) == 2

@@ -227,6 +227,148 @@ def test_parser_errors():
         parse_polynomial("z1^-2", 1)
     with pytest.raises(ParseError):
         parse_polynomial("", 1)
+    # Only ASCII digits are digits: a superscript or Arabic-Indic digit is
+    # an unexpected character at its own position.
+    for text, position in [("z1^\u00b2", 3), ("\u0663*z1", 0), ("z\u0661", 1), ("1/\u0662", 2)]:
+        with pytest.raises(ParseError) as e:
+            parse_polynomial(text, 1)
+        assert e.value.position == position, text
+
+
+# The canonical text of each valid input, and the message and position of
+# each invalid one, recorded before the parser read whole tokens.
+PINNED_PARSES = [
+    ('z1^3 - z2^2', 2, 'z1^3 - z2^2'),
+    ('1/2*z1*z2 + z1*z2', 2, '3/2*z1*z2'),
+    ('z^7', 1, 'z1^7'),
+    ('-(z1+1)^2', 1, '-z1^2 - 2*z1 - 1'),
+    ('-(z1 - 1)^2', 1, '-z1^2 + 2*z1 - 1'),
+    ('0', 2, '0'),
+    ('0/5', 1, '0'),
+    ('2^3', 1, '8'),
+    ('2^0', 1, '1'),
+    ('0^0', 1, '1'),
+    ('(z1 + z2)^0', 2, '1'),
+    (' z1 * ( z2 + 3 ) ', 2, 'z1*z2 + 3*z1'),
+    ('\tz1\n+ 1 ', 1, 'z1 + 1'),
+    ('((z1 + 1)*(z2 - 1))^2', 2, 'z1^2*z2^2 - 2*z1^2*z2 + 2*z1*z2^2 + z1^2 - 4*z1*z2 + z2^2 + 2*z1 - 2*z2 + 1'),
+    ('(((z1)))', 1, 'z1'),
+    ('((z1 - (z2 - (z3 - 1)))*2)^2', 3, '4*z1^2 - 8*z1*z2 + 4*z2^2 + 8*z1*z3 - 8*z2*z3 + 4*z3^2 - 8*z1 + 8*z2 - 8*z3 + 4'),
+    ('(z1 + z2)^3', 2, 'z1^3 + 3*z1^2*z2 + 3*z1*z2^2 + z2^3'),
+    ('(z1 - 2*z2 + 1/3)^4', 2, 'z1^4 - 8*z1^3*z2 + 24*z1^2*z2^2 - 32*z1*z2^3 + 16*z2^4 + 4/3*z1^3 - 8*z1^2*z2 + 16*z1*z2^2 - 32/3*z2^3 + 2/3*z1^2 - 8/3*z1*z2 + 8/3*z2^2 + 4/27*z1 - 8/27*z2 + 1/81'),
+    ('2*(z1 - z2)^2*(z1 + z2)', 2, '2*z1^3 - 2*z1^2*z2 - 2*z1*z2^2 + 2*z2^3'),
+    ('(z1 + 1/2)^3 - z1^3', 1, '3/2*z1^2 + 3/4*z1 + 1/8'),
+    ('-3/4*z1^2*z2 + 5*z3 - 7', 3, '-3/4*z1^2*z2 + 5*z3 - 7'),
+    ('+z1 - z1', 1, '0'),
+    ('1 - 1', 1, '0'),
+    ('10/4*z2', 2, '5/2*z2'),
+    ('007*z1^02', 1, '7*z1^2'),
+    ('z01*z002', 2, 'z1*z2'),
+    ('\u3000z1\u00a0+\u20031', 1, 'z1 + 1'),
+    ('z10*z2^3 - z9', 10, 'z2^3*z10 - z9'),
+    ('z1^ 2 + z1 ^3 + 1 /2 + 1/ 3', 1, 'z1^3 + z1^2 + 5/6'),
+    ('z1*z1*z1 - z1^3 + z2^2*z2', 2, 'z2^3'),
+    ('(z1*z2)^3*(z1 - z2)^2', 2, 'z1^5*z2^3 - 2*z1^4*z2^4 + z1^3*z2^5'),
+    ('-z1^5 + 3/2*z1^2*z2*z3^2 - (z2 + z3)^2*z1', 3, '-z1^5 + 3/2*z1^2*z2*z3^2 - z1*z2^2 - 2*z1*z2*z3 - z1*z3^2'),
+    ('(2*z1)^3 - 8*z1^3 + (1/2)^2', 1, '1/4'),
+    ('(z1^2 + z2^2)^2', 2, 'z1^4 + 2*z1^2*z2^2 + z2^4'),
+    ('-(z1 - (z1 + 1))', 1, '1'),
+    ('123456789012345678901234567890*z1 - 1/123456789012345678901', 1, '123456789012345678901234567890*z1 - 1/123456789012345678901'),
+]
+PINNED_PARSE_ERRORS = [
+    ('', 1, 'unexpected end of input (at position 0)', 0),
+    ('  ', 1, 'unexpected end of input (at position 2)', 2),
+    ('z3', 2, 'variable z3 out of range for 2 variables (at position 0)', 0),
+    ('z0', 2, 'variable z0 out of range for 2 variables (at position 0)', 0),
+    ('z', 2, 'bare variable z is only valid in one variable (at position 0)', 0),
+    ('1/0', 1, 'zero denominator (at position 2)', 2),
+    ('1/ 0', 1, 'zero denominator (at position 2)', 2),
+    ('z1 +', 1, 'unexpected end of input (at position 4)', 4),
+    ('(z1', 1, "expected ')' (at position 3)", 3),
+    ('(z1 + 1', 1, "expected ')' (at position 7)", 7),
+    ('z1 z1', 1, "unexpected 'z' (at position 3)", 3),
+    ('z1^-2', 1, 'expected an integer (at position 3)', 3),
+    ('z1^', 1, 'expected an integer (at position 3)', 3),
+    ('1/', 1, 'expected an integer (at position 2)', 2),
+    ('1/z1', 1, 'expected an integer (at position 2)', 2),
+    ('()', 1, "unexpected ')' (at position 1)", 1),
+    ('z1)', 1, "unexpected ')' (at position 2)", 2),
+    ('z1 + * z2', 2, "unexpected '*' (at position 5)", 5),
+    ('3.5', 1, "unexpected '.' (at position 1)", 1),
+    ('x1', 1, "unexpected 'x' (at position 0)", 0),
+    ('z 1', 1, "unexpected '1' (at position 2)", 2),
+    ('z 1', 2, 'bare variable z is only valid in one variable (at position 0)', 0),
+    ('-', 1, 'unexpected end of input (at position 1)', 1),
+    ('--z1', 1, "unexpected '-' (at position 1)", 1),
+    ('2^3^2', 1, "unexpected '^' (at position 3)", 3),
+    ('z1^2^', 1, "unexpected '^' (at position 4)", 4),
+    ('2*-z1', 1, "unexpected '-' (at position 2)", 2),
+    ('z1 2', 1, "unexpected '2' (at position 3)", 3),
+    ('12z1', 1, "unexpected 'z' (at position 2)", 2),
+    ('z1a', 1, "unexpected 'a' (at position 2)", 2),
+    ('(z1))', 1, "unexpected ')' (at position 4)", 4),
+    ('z1 - (z2', 2, "expected ')' (at position 8)", 8),
+    ('1/2/3', 1, "unexpected '/' (at position 3)", 3),
+    ('z1^(2)', 1, 'expected an integer (at position 3)', 3),
+    ('z1**2', 1, "unexpected '*' (at position 3)", 3),
+    ('z12', 3, 'variable z12 out of range for 3 variables (at position 0)', 0),
+]
+
+
+def test_parser_outputs_are_pinned():
+    for text, nvars, expected in PINNED_PARSES:
+        assert format_polynomial(parse_polynomial(text, nvars)) == expected, text
+    for text, nvars, message, position in PINNED_PARSE_ERRORS:
+        with pytest.raises(ParseError) as e:
+            parse_polynomial(text, nvars)
+        assert (str(e.value), e.value.position) == (message, position), text
+
+
+def _random_atom(rng, nvars, depth):
+    kind = rng.randrange(4 if depth else 3)
+    if kind == 0:
+        n = rng.randint(0, 12)
+        return str(n), Polynomial.constant(nvars, n)
+    if kind == 1:
+        num, den = rng.randint(0, 9), rng.randint(1, 9)
+        return f"{num}/{den}", Polynomial.constant(nvars, Fraction(num, den))
+    if kind == 2:
+        i = rng.randrange(nvars)
+        name = "z" if nvars == 1 and rng.random() < 0.5 else f"z{i + 1}"
+        return name, Polynomial.variable(nvars, i)
+    text, value = _random_expression(rng, nvars, depth - 1)
+    return f"({text})", value
+
+
+def _random_term(rng, nvars, depth):
+    texts, value = [], Polynomial.constant(nvars, 1)
+    for _ in range(rng.randint(1, 3)):
+        text, factor = _random_atom(rng, nvars, depth)
+        if rng.random() < 0.3:
+            e = rng.randint(0, 3)
+            text, factor = f"{text}{rng.choice(['^', ' ^ '])}{e}", factor**e
+        texts.append(text)
+        value = value * factor
+    return rng.choice(["*", " * "]).join(texts), value
+
+
+def _random_expression(rng, nvars, depth):
+    """Random text of the input grammar, with its value by Polynomial arithmetic."""
+    text, value = "", Polynomial.zero(nvars)
+    for i in range(rng.randint(1, 3)):
+        term_text, term = _random_term(rng, nvars, depth)
+        sign = rng.choice("+-") if i else rng.choice(["", "+", "-"])
+        text += (f" {sign} " if i else sign) + term_text
+        value = value - term if sign == "-" else value + term
+    return text, value
+
+
+def test_parser_matches_polynomial_arithmetic_random():
+    rng = random.Random(2017)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        text, value = _random_expression(rng, nvars, 2)
+        assert parse_polynomial(text, nvars) == value, text
 
 
 def test_print_parse_round_trip():

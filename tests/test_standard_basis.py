@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from eqidx.standard_basis import (
     s_polynomial,
 )
 from oracles import (
+    box_standard_monomials,
     local_quotient_dimension,
     milnor_product,
     sympy_reduced_groebner,
@@ -289,6 +291,44 @@ def test_quotient_basis_shape():
                 assert lower in std
     degrees = [sum(mon) for mon in qb.monomials]
     assert degrees == sorted(degrees)
+
+
+def _monomial_basis(leading, nvars):
+    """A ReducedBasis whose elements are the given monomials, under degrevlex."""
+    order = MonomialOrder.global_order(nvars)
+    return ReducedBasis(
+        tuple(Polynomial.monomial(nvars, lm) for lm in leading), order, "global"
+    )
+
+
+def test_quotient_basis_against_box_oracle_random():
+    rng = random.Random(4111)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        leading = [
+            tuple(rng.randint(1, 7) if j == i else 0 for j in range(n)) for i in range(n)
+        ]
+        for _ in range(rng.randint(0, 6)):
+            leading.append(tuple(rng.randint(0, 4) for _ in range(n)))
+        rng.shuffle(leading)
+        got = quotient_basis(_monomial_basis(leading, n)).monomials
+        assert list(got) == box_standard_monomials(leading, n), leading
+
+
+def test_quotient_basis_stays_inside_the_staircase():
+    # The pure powers bound a box of 160,000 monomials, of which 799 are
+    # standard; materializing the box would take more than 10 MB.
+    leading = [(400, 0), (0, 400), (1, 1)]
+    basis = _monomial_basis(leading, 2)
+    tracemalloc.start()
+    try:
+        monomials = quotient_basis(basis).monomials
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(monomials) == 799
+    assert list(monomials) == box_standard_monomials(leading, 2)
+    assert peak < 2 * 2**20
 
 
 def test_quotient_basis_rejects_positive_dimension():
