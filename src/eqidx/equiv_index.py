@@ -185,9 +185,11 @@ def _local_quotient(components: Sequence[Polynomial]) -> QuotientBasis:
     return quotient_basis(basis)
 
 
-def _origin_quotient(form: OneForm, action: DiagonalAction) -> QuotientBasis:
-    """The local quotient at the origin of an invariant form with an isolated zero there."""
-    _require_invariant(form, action)
+def _origin_quotient(form: OneForm) -> QuotientBasis:
+    """The local quotient at the origin of a form with an isolated zero there.
+
+    Callers check the form's invariance first.
+    """
     try:
         return _local_quotient(form.components)
     except NonZeroDimensionalError as e:
@@ -225,7 +227,8 @@ def hom_index(form: OneForm, action: DiagonalAction) -> RepRingElement:
     generates the unit ideal there, so its local quotient is zero and its
     index is the zero character.
     """
-    return _character_of_quotient(_origin_quotient(form, action), action)
+    _require_invariant(form, action)
+    return _character_of_quotient(_origin_quotient(form), action)
 
 
 def _stratum_table(
@@ -290,7 +293,8 @@ def index_report(form: OneForm, action: DiagonalAction) -> IndexReport:
     Requires the form to be invariant with an algebraically isolated zero at
     the origin on every fixed subspace.
     """
-    qb = _origin_quotient(form, action)
+    _require_invariant(form, action)
+    qb = _origin_quotient(form)
     if not form.vanishes_at_origin():
         raise NonIsolatedError("the origin is not a zero of the form")
     strata = _stratum_table(form, action, qb.dimension)
@@ -490,7 +494,7 @@ def conservation_check(
     # Both forms are validated before any quotient is computed.
     _require_invariant(form, action)
     _require_invariant(deformed, action)
-    qb_local = _origin_quotient(form, action)
+    qb_local = _origin_quotient(form)
     reference = _character_of_quotient(qb_local, action)
     qb_global = _global_quotient(deformed)
     if qb_global.dimension != qb_local.dimension:

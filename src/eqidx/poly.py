@@ -427,6 +427,10 @@ class Polynomial:
 # One token: an ASCII integer, a variable name, or any other single
 # character, after optional whitespace.
 _TOKEN = re.compile(r"\s*([0-9]+|z[0-9]*|\S)")
+# The most digits a number may have: CPython 3.11 refuses to convert longer
+# digit strings by default, and 3.10 may not, so the parser enforces one
+# limit on every version.
+_MAX_DIGITS = 4300
 
 
 def _is_integer(token: str) -> bool:
@@ -468,8 +472,15 @@ class _Parser:
         token = self.tokens[self.k]
         if not _is_integer(token):
             self.fail("expected an integer")
+        value = self.digits(token)
         self.k += 1
-        return int(token)
+        return value
+
+    def digits(self, text: str) -> int:
+        """The value of a digit string read from the next token."""
+        if len(text) > _MAX_DIGITS:
+            self.fail(f"integer longer than {_MAX_DIGITS} digits")
+        return int(text)
 
     def parse(self) -> Polynomial:
         terms = self.expr()
@@ -518,8 +529,8 @@ class _Parser:
             self.k += 1
             return p
         if _is_integer(token):
+            c = self.digits(token)
             self.k += 1
-            c = int(token)
             if self.tokens[self.k] == "/":
                 self.k += 1
                 den = self.integer()
@@ -530,7 +541,7 @@ class _Parser:
             return {self.zero: c} if c else {}
         if token[:1] == "z":
             if len(token) > 1:
-                i = int(token[1:])
+                i = self.digits(token[1:])
                 if not 1 <= i <= self.nvars:
                     self.fail(f"variable z{i} out of range for {self.nvars} variables")
             elif self.nvars == 1:

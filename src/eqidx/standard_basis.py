@@ -12,13 +12,18 @@ and the degree of its leading monomial) and which may recruit earlier
 partial remainders as reducers; with that discipline division terminates
 even though the ordering is not a well-order.  Termination can still be
 impractically slow (a reducer that is a unit multiple of a variable with a
-deep tail makes the leading monomial creep down one monomial at a time), so
-the local reduction guards its step count, term counts and coefficient
-sizes.  One rule picks the route: a run that trips a guard is abandoned and
-the ideal goes through the homogenizing lift, a global Groebner basis of the
-homogenized generators that always terminates and recovers a minimal
-standard basis of the same ideal.  Quotient extraction walks the staircase
-of a zero-dimensional leading ideal to its standard monomials.
+deep tail makes the leading monomial creep down one monomial at a time).
+Two cures work together.  The highest corner: once the leading monomials
+contain every monomial of some degree N, terms above N are dropped, and the
+computation runs in a finite space.  And a race: direct Mora and the
+homogenizing lift (a global Groebner basis of the homogenized generators,
+which always terminates and recovers a minimal standard basis of the same
+ideal) take turns of doubling numbers of reduction steps, and the first to
+finish returns the basis.  The pair loop and both reductions are
+generators, so direct Mora can pause in the middle of a reduction and
+resume there (the lift pauses between divisions).  Quotient extraction
+walks the staircase of a zero-dimensional leading ideal to its standard
+monomials.
 
 Coefficients are Fractions only at the Polynomial boundary.  Generators
 enter as primitive integer term dicts (coprime integer coefficients, see
@@ -29,20 +34,20 @@ content, so every intermediate polynomial is the primitive positive multiple
 of its exact rational counterpart.  Results leave as monic Polynomials; the
 public helpers (s_polynomial, the normal forms) return exact Fractions.
 Order keys are computed once per monomial in a dict owned by one engine
-call.
+run.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence, TypeVar
 
 from .errors import NonZeroDimensionalError
 from .poly import (
@@ -87,9 +92,13 @@ class ReducedBasis:
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
     kind: str
+    # The leading monomial of each element, as the engines found them.
+    leading: tuple[Monomial, ...] | None = field(default=None, compare=False, repr=False)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.elements)
+        if self.leading is None:
+            return tuple(g.leading_monomial(self.order) for g in self.elements)
+        return self.leading
 
 
 @dataclass(frozen=True)
@@ -111,13 +120,21 @@ class QuotientBasis:
 IntTerms = dict[Monomial, int]
 Entry = tuple[Monomial, int, IntTerms]
 KeyFn = Callable[[Monomial], tuple]
+# An engine run is a generator that pauses (yields) when its clock, a
+# one-element list holding the reduction steps it may still take, is spent;
+# whoever resumes it first adds steps.  A run on an endless clock, [inf],
+# never pauses.
+Clock = list
+Corner = Callable[[bool], "int | None"]
+Reduce = Callable[[IntTerms, Sequence[Entry], Corner], Generator[None, None, IntTerms]]
+T = TypeVar("T")
 
 
 class _OrderKeys(dict):
     """The order keys of the monomials one computation meets, each computed once.
 
-    ``_OrderKeys(order).__getitem__`` is the key function of one engine call;
-    the dict lives only as long as the call.
+    ``_OrderKeys(order).__getitem__`` is the key function of one engine run;
+    the dict lives only as long as the run.
     """
 
     def __init__(self, order: MonomialOrder) -> None:
@@ -198,7 +215,7 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
         raise ValueError("global normal form requires a global order")
     terms = _integer_terms(p)
     reducers = [_entry(_integer_terms(g), order.key) for g in basis]
-    remainder, scale = _full_remainder(terms, reducers, order.key)
+    remainder, scale, _ = _full_remainder(terms, reducers, order.key)
     if not remainder:
         return Polynomial._unchecked(p.nvars, {})
     # remainder = scale * (exact remainder of terms), and terms is a
@@ -209,20 +226,23 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
 
 
 def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
-                    key: KeyFn) -> tuple[IntTerms, Fraction]:
+                    key: KeyFn) -> tuple[IntTerms, Fraction, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
     A step scales the terms already moved to the remainder together with the
     rest, then divides the content out of both.  Returns the primitive
-    remainder and the positive s with remainder = s * (exact remainder of p).
+    remainder, the positive s with remainder = s * (exact remainder of p),
+    and the number of steps.
     """
     work = dict(p)
     remainder: IntTerms = {}
     scale = Fraction(1)
+    steps = 0
     while work:
         lm = max(work, key=key)
         for lm_g, _, g in reducers:
             if mon_divides(lm_g, lm):
+                steps += 1
                 work, a = _cancel(work, lm, g, lm_g, lm)
                 if a != 1:
                     remainder = {mon: a * c for mon, c in remainder.items()}
@@ -235,21 +255,7 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
                 break
         else:
             remainder[lm] = work.pop(lm)
-    return remainder, scale
-
-
-# Limits on one direct Mora run before the ideal is handed to the
-# homogenizing lift instead.  Tame inputs use a few hundred steps, small
-# coefficients and short polynomials; a creeping reduction blows all three up
-# together, and the bit bound (a leading coefficient of _MORA_COEFF_BITS bits
-# or more) trips well before the arithmetic gets expensive.
-_MORA_STEP_LIMIT = 2000
-_MORA_TERM_LIMIT = 1500
-_MORA_COEFF_BITS = 1024
-
-
-class _BudgetExhausted(Exception):
-    pass
+    return remainder, scale, steps
 
 
 def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
@@ -266,7 +272,7 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
         raise ValueError("Mora normal form requires a local order")
     terms = _integer_terms(p)
     reducers = [_entry(_integer_terms(g), order.key) for g in basis if g.terms]
-    h = _mora_weak_nf(terms, reducers, order.key, None)
+    h = _finish(_mora_weak_nf(order.key, [inf], terms, reducers, _no_corner))
     if h is terms:
         return p
     return Polynomial._unchecked(p.nvars, {mon: Fraction(c) for mon, c in h.items()})
@@ -293,20 +299,28 @@ def _primitive(p: Polynomial) -> Polynomial:
     return Polynomial._unchecked(p.nvars, {mon: c * scale for mon, c in p.terms.items()})
 
 
-def _mora_weak_nf(h: IntTerms, reducers: Sequence[Entry], key: KeyFn,
-                  budget: list[int] | None) -> IntTerms:
+def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entry],
+                  corner: Corner) -> Generator[None, None, IntTerms]:
     """Mora's weak normal form of primitive h by basis entries, fraction-free.
 
     Every reduction step leaves a primitive remainder; without a step h
-    itself is returned.  With a ``budget`` (a one-element list of remaining
-    steps) every step is charged against it and against the term and
-    coefficient limits, raising _BudgetExhausted when one runs out.
+    itself is returned.  A generator: each step spends one step of
+    ``clock``, and the reduction pauses (yields) when the clock is spent.
+    ``corner(fresh)`` is the highest corner, or None while none is known
+    (see _pair_loop).  A step that would recruit asks for a fresh one; once
+    there is one, earlier remainders are no longer recruited, since division
+    in the finite space of the monomials up to the corner terminates
+    without them, and a step that could reach past it drops the terms of
+    degree above a fresh corner.
     """
     # The reducer pool, sorted by (ecart, order key of lm, insertion index):
     # the first entry whose leading monomial divides lm(h) is the reducer of
     # least ecart, then least leading monomial, then oldest.
     pool = sorted((ec, key(lm), i, lm, g) for i, (lm, ec, g) in enumerate(reducers))
     counter = len(pool)
+    # Only this reduction can refresh the corner while it runs (the pair
+    # loop waits for it), so the value asked for last stays current.
+    top = corner(False)
     while h:
         lm_h = max(h, key=key)
         for ec_g, _, _, lm_g, g in pool:
@@ -314,26 +328,47 @@ def _mora_weak_nf(h: IntTerms, reducers: Sequence[Entry], key: KeyFn,
                 break
         else:
             break
-        if budget is not None:
-            budget[0] -= 1
-            if (
-                budget[0] < 0
-                or len(h) > _MORA_TERM_LIMIT
-                or h[lm_h].bit_length() >= _MORA_COEFF_BITS
-            ):
-                raise _BudgetExhausted
-        # An ecart is never negative, so only a reducer of positive ecart can
-        # exceed the ecart of h.
+        if clock[0] <= 0:
+            yield
+        clock[0] -= 1
+        cut = None
+        # An ecart is never negative, and the multiple of a reducer of ecart
+        # zero has no term of degree above lm(h); so only a reducer of
+        # positive ecart can raise the ecart of h or reach past the corner.
         if ec_g:
-            ec_h = max(map(sum, h)) - sum(lm_h)
-            if ec_g > ec_h:
-                # Recruiting h itself keeps later reductions from raising the
-                # ecart without bound; this is what makes Mora division
-                # terminate.
-                insort(pool, (ec_h, key(lm_h), counter, lm_h, h))
-                counter += 1
-        h = _content_free(_cancel(h, lm_h, g, lm_g, lm_h)[0])
+            if top is None:
+                ec_h = max(map(sum, h)) - sum(lm_h)
+                if ec_g > ec_h and (top := corner(True)) is None:
+                    # Recruiting h itself keeps later reductions from raising
+                    # the ecart without bound; this is what makes Mora
+                    # division terminate.
+                    insort(pool, (ec_h, key(lm_h), counter, lm_h, h))
+                    counter += 1
+            if top is not None and sum(lm_h) + ec_g > top:
+                cut = top = corner(True)
+        h = _cancel(h, lm_h, g, lm_g, lm_h)[0]
+        h = _content_free(h) if cut is None else _truncated(h, cut)
     return h
+
+
+def _truncated(terms: IntTerms, corner: int) -> IntTerms:
+    """The terms of degree at most ``corner``, over their content."""
+    return _content_free({mon: c for mon, c in terms.items() if sum(mon) <= corner})
+
+
+def _no_corner(fresh: bool) -> None:
+    """The corner of a division outside the pair loop: none is known."""
+    return None
+
+
+def _results(run: Generator[None, None, T]) -> Generator[T | None, None, None]:
+    """The pauses of a run (None each), then its result: no StopIteration to catch."""
+    yield (yield from run)
+
+
+def _finish(run: Generator[None, None, T]) -> T:
+    """The result of a run that never pauses, such as one on an endless clock."""
+    return next(_results(run))
 
 
 def _update_pairs(lms: Sequence[Monomial], live: list[int],
@@ -373,38 +408,93 @@ def _update_pairs(lms: Sequence[Monomial], live: list[int],
     live.append(t)
 
 
-def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
-               reduce: Callable[..., IntTerms]) -> list[Entry]:
+def _pair_loop(generators: Sequence[IntTerms], key: KeyFn, reduce: Reduce,
+               truncate: bool) -> Generator[None, None, list[Entry]]:
     """Buchberger's pair loop with Gebauer and Moeller's pruning, under any order.
 
     The generators are primitive integer terms.  ``reduce(p, reducers,
-    key)`` takes a primitive S-polynomial to a primitive remainder whose
-    leading monomial no reducer's leading monomial divides, or to zero.
-    Returns the entries of the elements that still take part in reduction;
-    their leading monomials generate the leading ideal.
+    corner)`` is a generator that takes a primitive S-polynomial to a
+    primitive remainder whose leading monomial no reducer's leading monomial
+    divides, or to zero.  The loop is a generator too: it pauses only where
+    ``reduce`` does, and returns the entries of the elements that still take
+    part in reduction; their leading monomials generate the leading ideal.
+
+    With ``truncate`` (a local degree order) the loop cuts at the highest
+    corner.  Once the live leading monomials contain every monomial of some
+    degree N, so does the leading ideal, and then m^N lies in the ideal of
+    the local ring (Greuel and Pfister, A Singular Introduction to
+    Commutative Algebra, section 1.7): the terms of degree above N can be
+    dropped from any element without changing the ideal or any leading
+    monomial (dropping those of degree N too would delete leading monomials
+    of degree N).  The corner N is one more than the top degree of a
+    standard monomial of the live leading ideal.  Terms of degree above it
+    are dropped from live elements, S-polynomials and remainders, and pairs
+    whose lcm lies above it are not reduced at all.  A corner found earlier
+    stays valid, if less tight, as leading monomials enter, and walking the
+    staircase costs about as much as a small ideal's whole computation; so
+    ``highest_corner(fresh)`` returns the last one found, and walks for a
+    fresh one only when asked for it and a leading monomial entered since.
+    It is asked for when a polynomial reaches past the last corner and when
+    a weak normal form would recruit (before any corner is known): only then
+    does a tighter corner save work.
     """
     elements: list[Entry] = []
     lms: list[Monomial] = []
     live: list[int] = []
     pending: dict[tuple[int, int], Monomial] = {}
     queue: list = []
+    corner: int | None = None
+    stale = False  # a leading monomial entered since the corner was last sought
+
+    def highest_corner(fresh: bool) -> int | None:
+        nonlocal corner, stale
+        if fresh and stale:
+            stale = False
+            n = len(lms[0])
+            leading = [lms[k] for k in live]
+            if _missing_power(leading, n) is not None:
+                return None
+            corner = 1 + max(map(sum, _standard_monomials(leading, n)), default=-1)
+            kept = []
+            for k in live:
+                lm, ec, g = elements[k]
+                if sum(lm) + ec > corner:
+                    # A leading monomial above the corner (a redundant
+                    # generator's) leaves no terms: its element is zero.
+                    g = _truncated(g, corner)
+                    if not g:
+                        continue
+                    elements[k] = (lm, max(map(sum, g)) - sum(lm), g)
+                kept.append(k)
+            live[:] = kept
+        return corner
 
     def insert(h: IntTerms) -> None:
+        nonlocal stale
         elements.append(_entry(h, key))
         lms.append(elements[-1][0])
         _update_pairs(lms, live, pending, queue, key)
+        stale = truncate
 
     for g in generators:
         if g:
             insert(g)
     while queue:
-        *_, i, j = heappop(queue)
+        degree, _, i, j = heappop(queue)
+        if corner is not None and degree > corner:
+            # Pairs leave lowest lcm degree first, and every term of an
+            # S-polynomial has at least the degree of its lcm.
+            break
         lcm = pending.pop((i, j), None)
         if lcm is None:
             continue
-        (lm_i, _, f), (lm_j, _, g) = elements[i], elements[j]
+        (lm_i, ec_i, f), (lm_j, ec_j, g) = elements[i], elements[j]
         s, _ = _cancel(f, lm_i, g, lm_j, lcm)
-        h = reduce(_content_free(s), [elements[k] for k in live], key)
+        if (ec_i or ec_j) and corner is not None and degree + max(ec_i, ec_j) > corner:
+            s = _truncated(s, highest_corner(True))
+        else:
+            s = _content_free(s)
+        h = yield from reduce(s, [elements[k] for k in live], highest_corner)
         if h:
             insert(h)
     return [elements[k] for k in live]
@@ -424,16 +514,27 @@ def _minimalize(entries: Sequence[tuple], key: KeyFn) -> list[tuple]:
     return kept
 
 
-def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
-    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
+def _full_reduce(key: KeyFn, clock: Clock, p: IntTerms, reducers: Sequence[Entry],
+                 corner: Corner) -> Generator[None, None, IntTerms]:
+    """Full division for the pair loop under a global order (which has no corner).
+
+    A generator: the division's steps are spent from ``clock`` as a whole,
+    after it, and the loop pauses while the clock is overspent.
+    """
+    remainder, _, steps = _full_remainder(p, reducers, key)
+    clock[0] -= steps
+    while clock[0] <= 0:
+        yield
+    return remainder
+
+
+def _global_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
+    """The reduced Groebner basis, computed by a run that spends ``clock``."""
     order = gens.order
-    if order.is_local:
-        raise ValueError("buchberger_global requires a global order")
     key = _OrderKeys(order).__getitem__
-    live = _pair_loop(
-        [_integer_terms(g) for g in gens.generators],
-        key,
-        lambda p, reducers, key: _full_remainder(p, reducers, key)[0],
+    reduce = partial(_full_reduce, key, clock)
+    live = yield from _pair_loop(
+        [_integer_terms(g) for g in gens.generators], key, reduce, False
     )
     minimal = _minimalize(live, key)
     # Once no leading monomial divides another, reduction keeps every leading
@@ -442,7 +543,14 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
         _monic(order.nvars, _full_remainder(g, minimal[:i] + minimal[i + 1 :], key)[0], lm)
         for i, (lm, _, g) in enumerate(minimal)
     ]
-    return ReducedBasis(tuple(reduced), order, "global")
+    return ReducedBasis(tuple(reduced), order, "global", tuple(map(itemgetter(0), minimal)))
+
+
+def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
+    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
+    if gens.order.is_local:
+        raise ValueError("buchberger_global requires a global order")
+    return _finish(_global_run(gens, [inf]))
 
 
 def _homogenize(p: Polynomial) -> Polynomial:
@@ -459,7 +567,7 @@ def _dehomogenize(p: Polynomial) -> Polynomial:
     return Polynomial._unchecked(p.nvars - 1, {mon[:-1]: c for mon, c in p.terms.items()})
 
 
-def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
+def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
     """Minimal standard basis via a Groebner basis of the homogenized generators.
 
     Under the ``homogenized`` order the leading term of a homogeneous
@@ -468,43 +576,84 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
     dehomogenized Groebner basis elements lie in the original ideal and their
     leading monomials generate its full local leading ideal (Greuel and
     Pfister, A Singular Introduction to Commutative Algebra, section 1.7).
+    The global computation is a run that spends ``clock``.
     """
     order = gens.order
     lifted = GeneratorSet(
         tuple(_homogenize(g) for g in gens.generators if g.terms),
         MonomialOrder("homogenized", order.nvars + 1),
     )
-    polys = [_dehomogenize(b) for b in buchberger_global(lifted).elements]
+    polys = [_dehomogenize(b) for b in (yield from _global_run(lifted, clock)).elements]
     minimal = _minimalize([(g.leading_monomial(order), g) for g in polys], order.key)
-    return ReducedBasis(tuple(g.monic(order) for _, g in minimal), order, "local")
+    return ReducedBasis(
+        tuple(g.monic(order) for _, g in minimal),
+        order,
+        "local",
+        tuple(map(itemgetter(0), minimal)),
+    )
+
+
+def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
+    """The homogenizing lift of ``mora_local``, run to the end on its own."""
+    return _finish(_lift_run(gens, [inf]))
+
+
+def _direct_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
+    """Direct Mora with the highest-corner cut, as a run that spends ``clock``."""
+    order = gens.order
+    key = _OrderKeys(order).__getitem__
+    reduce = partial(_mora_weak_nf, key, clock)
+    live = yield from _pair_loop(
+        [_integer_terms(g) for g in gens.generators], key, reduce, True
+    )
+    minimal = _minimalize(live, key)
+    return ReducedBasis(
+        tuple(_monic(order.nvars, g, lm) for lm, _, g in minimal),
+        order,
+        "local",
+        tuple(map(itemgetter(0), minimal)),
+    )
+
+
+# Reduction steps in the first turn of each run of the mora_local race;
+# every later turn has twice the steps of the one before.
+_FIRST_SLICE = 256
 
 
 def mora_local(gens: GeneratorSet) -> ReducedBasis:
     """A minimal standard basis of the ideal in the local ring at the origin.
 
-    The pair loop of ``buchberger_global``, Gebauer and Moeller's pruning
-    included, with Mora's weak normal form in place of ordinary division:
-    the pair criteria and the weak normal form hold under any monomial
-    order.  The result is minimal and monic; tails are not reduced, which is
-    enough to determine the leading ideal and hence all quotient data.  A
-    run that exceeds its budget of reduction steps, polynomial length or
-    coefficient size is abandoned, and the ideal goes through the
-    homogenizing lift instead, which always terminates; the leading ideal
-    (and so every quotient invariant) is the same either way.
+    Two runs race, and the first to finish returns the basis.  The direct
+    run is the pair loop of ``buchberger_global``, Gebauer and Moeller's
+    pruning included, with Mora's weak normal form in place of ordinary
+    division (the pair criteria and the weak normal form hold under any
+    monomial order) and the highest-corner cut.  The other is the
+    homogenizing lift: a global Groebner basis of the homogenized
+    generators, which always terminates.  The runs take turns of
+    reduction steps, the direct run first; the turns double in length each
+    round, so the loser spends at most about twice the winner's steps, and
+    the winner depends on step counts alone.  The result is minimal
+    and monic; tails are not reduced, which is enough to determine the
+    leading ideal and hence all quotient data.  The leading ideal is the
+    same whichever run wins.
     """
-    order = gens.order
-    if not order.is_local:
+    if not gens.order.is_local:
         raise ValueError("mora_local requires a local order")
-    key = _OrderKeys(order).__getitem__
-    reduce = partial(_mora_weak_nf, budget=[_MORA_STEP_LIMIT])
-    try:
-        live = _pair_loop([_integer_terms(g) for g in gens.generators], key, reduce)
-    except _BudgetExhausted:
-        return _homogenized_local(gens)
-    minimal = _minimalize(live, key)
-    return ReducedBasis(
-        tuple(_monic(order.nvars, g, lm) for lm, _, g in minimal), order, "local"
-    )
+    steps = _FIRST_SLICE
+    direct_clock = [steps]
+    direct = _results(_direct_run(gens, direct_clock))
+    if (basis := next(direct)) is not None:
+        return basis
+    # Most ideals finish in the first turn; only the others start the lift.
+    lift_clock = [steps]
+    lift = _results(_lift_run(gens, lift_clock))
+    while (basis := next(lift)) is None:
+        steps *= 2
+        direct_clock[0] += steps
+        if (basis := next(direct)) is not None:
+            break
+        lift_clock[0] += steps
+    return basis
 
 
 def normal_form(p: Polynomial, basis: ReducedBasis) -> Polynomial:
@@ -514,33 +663,28 @@ def normal_form(p: Polynomial, basis: ReducedBasis) -> Polynomial:
     return mora_normal_form(p, basis.elements, basis.order)
 
 
-def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
-    """Standard monomials of the quotient by the ideal of ``basis``.
+def _missing_power(lms: Sequence[Monomial], n: int) -> int | None:
+    """The first of n variables with no pure power among ``lms``, if any."""
+    for i in range(n):
+        if not any(lm[i] == sum(lm) for lm in lms):
+            return i
+    return None
 
-    The quotient is finite dimensional exactly when the leading ideal
-    contains a pure power of every variable; otherwise
-    NonZeroDimensionalError reports a variable with no such power.  The
-    monomials outside the leading ideal are returned sorted by increasing
-    degree, ties broken by degrevlex, and they form an order ideal: any
-    divisor of a standard monomial is standard.
 
-    The staircase is walked by prefix.  A prefix of exponents keeps only the
-    leading monomials it dominates in those positions; it is extended while
-    the prefix padded with zeros is still standard, and in the last position
-    the exponent runs up to the least last exponent of the kept monomials.
+def _standard_monomials(lms: Sequence[Monomial], n: int) -> list[Monomial]:
+    """The monomials in n variables outside the ideal of ``lms``, in walk order.
+
+    Every variable must have a pure power among ``lms``.  The staircase is
+    walked by prefix.  A prefix of exponents keeps only the leading
+    monomials it dominates in those positions; it is extended while the
+    prefix padded with zeros is still standard, and in the last position the
+    exponent runs up to the least last exponent of the kept monomials.
     Every prefix visited starts a standard monomial, so the time grows with
     the dimension times the number of leading monomials and the memory with
     the dimension, not with the box under the pure powers.
     """
-    n = basis.order.nvars
-    lms = basis.leading_monomials()
-    for i in range(n):
-        if not any(lm[i] == sum(lm) for lm in lms):
-            raise NonZeroDimensionalError(
-                f"no pure power of z{i + 1} in the leading ideal", variable=i
-            )
     if n == 0:
-        return QuotientBasis(() if lms else ((),))
+        return [] if lms else [()]
     monomials: list[Monomial] = []
 
     def walk(prefix: Monomial, kept: Sequence[Monomial]) -> None:
@@ -563,6 +707,27 @@ def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
             walk(prefix + (e,), dominated)
 
     walk((), lms)
+    return monomials
+
+
+def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
+    """Standard monomials of the quotient by the ideal of ``basis``.
+
+    The quotient is finite dimensional exactly when the leading ideal
+    contains a pure power of every variable; otherwise
+    NonZeroDimensionalError reports a variable with no such power.  The
+    monomials outside the leading ideal are returned sorted by increasing
+    degree, ties broken by degrevlex, and they form an order ideal: any
+    divisor of a standard monomial is standard.
+    """
+    n = basis.order.nvars
+    lms = basis.leading_monomials()
+    i = _missing_power(lms, n)
+    if i is not None:
+        raise NonZeroDimensionalError(
+            f"no pure power of z{i + 1} in the leading ideal", variable=i
+        )
+    monomials = _standard_monomials(lms, n)
     # degrevlex: decreasing reversed exponents within a degree.
     monomials.sort(key=lambda mon: mon[::-1], reverse=True)
     monomials.sort(key=sum)

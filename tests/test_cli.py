@@ -147,6 +147,12 @@ def test_input_error_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "index", "--input", superscript)
     assert code == 2 and json.loads(out)["error"] == "Parse"
 
+    long_literal = write_json(
+        tmp_path, {"group": {"order": 1}, "weights": [0], "form": ["1" * 5000 + "*z1"]}, "l.json"
+    )
+    code, out = run(capsys, "index", "--input", long_literal)
+    assert code == 2 and json.loads(out)["error"] == "Parse"
+
 
 def test_usage_errors_and_help(capsys):
     assert main(["index"]) == 2

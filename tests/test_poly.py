@@ -235,6 +235,22 @@ def test_parser_errors():
         assert e.value.position == position, text
 
 
+def test_parser_digit_limit():
+    # A number has at most 4,300 digits on every Python version (CPython
+    # 3.11 would refuse to convert a longer one with a ValueError).
+    assert parse_polynomial("1" * 4300 + "*z1", 1).terms == {(1,): Fraction(int("1" * 4300))}
+    for text, position in [
+        ("1" * 4301 + "*z1", 0),
+        ("z1 + 3/" + "7" * 4301, 7),
+        ("z1^" + "2" * 4301, 3),
+        ("2*z" + "0" * 4300 + "1", 2),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_polynomial(text, 1)
+        assert e.value.position == position
+        assert "longer than 4300 digits" in str(e.value)
+
+
 # The canonical text of each valid input, and the message and position of
 # each invalid one, recorded before the parser read whole tokens.
 PINNED_PARSES = [

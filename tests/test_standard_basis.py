@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from eqidx import standard_basis
-from eqidx.equiv_index import DiagonalAction, OneForm, index_report
+from eqidx.equiv_index import DiagonalAction, OneForm, equivariant_pullback, index_report
 from eqidx.errors import NonZeroDimensionalError
-from eqidx.generator import random_case
+from eqidx.generator import random_case, random_shear
 from eqidx.poly import (
     MonomialOrder,
     Polynomial,
@@ -39,6 +39,7 @@ from oracles import (
     local_quotient_dimension,
     milnor_product,
     sympy_reduced_groebner,
+    truncated_quotient_dimension,
 )
 
 
@@ -365,14 +366,22 @@ def test_truncate_primitive_homogenize_helpers():
 
 
 def _counted_lifts(monkeypatch):
-    """Record every ideal mora_local hands to the homogenized lift."""
+    """Record every ideal on which mora_local returns the lift's basis.
+
+    Every mora_local call starts one direct run, and calls do not nest: the
+    ideal is recorded when its run starts and dropped again when the run
+    finishes first, so what stays are the ideals the lift won.
+    """
     lifts = []
+    direct_run = standard_basis._direct_run
 
-    def counted_lift(gens):
+    def counted(gens, clock):
         lifts.append(gens)
-        return _homogenized_local(gens)
+        basis = yield from direct_run(gens, clock)
+        lifts.pop()
+        return basis
 
-    monkeypatch.setattr(standard_basis, "_homogenized_local", counted_lift)
+    monkeypatch.setattr(standard_basis, "_direct_run", counted)
     return lifts
 
 
@@ -399,8 +408,8 @@ def test_scaling_generators_leaves_basis_unchanged(monkeypatch):
 
 
 def test_all_local_engines_agree(monkeypatch):
-    # mora_local hands an ideal to the lift only when it trips a budget;
-    # count the hand-offs, so that this stays a comparison of two routes.
+    # mora_local returns the lift's basis only when the lift finishes
+    # first; count those, so that this stays a comparison of two routes.
     lifts = _counted_lifts(monkeypatch)
     rng = random.Random(977)
     done = 0
@@ -457,7 +466,7 @@ def test_deep_corner_leading_ideal():
 
 def test_mu96_ideal_from_coincidence_seed_149():
     # eqidx verify --suite coincidence --seed 149: random case, draw index 10
-    # (0-based).  Direct Mora exceeds its budget, so the lift computes it.
+    # (0-based).  The lift finishes before direct Mora and computes it.
     gens = local_gens(
         ("3*z1^4 + z1^3*z2 + 3*z2^3*z3", "-z2^4", "-3/2*z3^6 + 1/2*z2*z3^3 + 2*z1^3"), 3
     )
@@ -480,6 +489,20 @@ def test_mu89_ideal_from_coincidence_seed_149():
     assert report.strata[1].milnor_number == 89
     assert report.hom == report.reduced_radial
     assert report.hom.coefficients == (29, 30, 30)
+
+
+def test_pullback_of_verify_mix_case_101():
+    # The pullback case of the benchmark's verify-mix workload whose
+    # pulled-back form (local multiplicity 55) direct Mora could not finish
+    # under step and size budgets, nor the homogenized lift in minutes; the
+    # highest corner lets direct Mora finish in well under a second.
+    rng = random.Random("verify-mix:101")
+    form, action = random_case(rng, max_order=6, max_vars=3, max_degree=5)
+    substitution = random_shear(rng, action, max_degree=3)
+    pulled = equivariant_pullback(form, substitution, action)
+    before = index_report(form, action)
+    assert before.strata[1].milnor_number == 55
+    assert index_report(pulled, action) == before
 
 
 def test_homogenized_lift_alone():
@@ -514,11 +537,22 @@ def _basis_digest(bases):
     return digest.hexdigest()
 
 
+def _leading_digest(bases):
+    digest = hashlib.sha256()
+    for basis in bases:
+        digest.update(repr(sorted(basis.leading_monomials())).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_engine_bases_are_pinned(monkeypatch):
-    # Every element of both engines' bases on a fixed corpus, and the number
-    # of ideals the local engine hands to the lift, recorded when every
-    # reduction step ran in exact rational arithmetic: a change to the
-    # engines' arithmetic or to their budget decisions shows here.
+    # Both engines' bases on a fixed corpus.  A reduced Groebner basis is
+    # canonical, so every global element is pinned, as recorded when every
+    # reduction step ran in exact rational arithmetic.  A minimal standard
+    # basis is canonical only in its leading ideal: its tails depend on the
+    # route that won and on where the highest corner cut them.  So the local
+    # bases pin their leading monomials (recorded before the corner and the
+    # race), the number of ideals the lift wins, and, on the ideals small
+    # enough for the truncation oracle, that every element lies in its ideal.
     local = [
         random_case(random.Random(s), max_order=6, max_vars=3, max_degree=6)[0].components
         for s in range(40)
@@ -539,15 +573,28 @@ def test_engine_bases_are_pinned(monkeypatch):
         buchberger_global(GeneratorSet(tuple(c), MonomialOrder.global_order(c[0].nvars)))
         for c in polys
     ]
-    assert len(lifts) == 4
+    # The lift wins the mu=96 and mu=89 ideals.
+    assert len(lifts) == 2
     assert (
-        _basis_digest(local_bases)
-        == "8756327641d3efbb3eea211ff491932f95cd4c198c3c62e74915a66fc348eb9e"
+        _leading_digest(local_bases)
+        == "3621571b16e71552cb541c966f6c91eed33570d3f15532b74c8daa8357f8068f"
     )
     assert (
         _basis_digest(global_bases)
         == "83b7898f468f4d1c4b1227045fb0bb9fc272f215e444713493284d5b3ce90d12"
     )
+    checked = 0
+    for gens, basis in zip(local, local_bases):
+        # Above the top standard degree m^N lies in the ideal, so at this
+        # bound the truncated quotient sees the ideal itself.
+        bound = 2 + max(map(sum, quotient_basis(basis).monomials))
+        if bound > 9:
+            continue
+        dimension = truncated_quotient_dimension(list(gens), bound)
+        for g in basis.elements:
+            assert truncated_quotient_dimension(list(gens) + [g], bound) == dimension
+        checked += 1
+    assert checked == 34
 
 
 def test_public_helpers_are_pinned():
