@@ -429,8 +429,11 @@ class Polynomial:
 _TOKEN = re.compile(r"\s*([0-9]+|z[0-9]*|\S)")
 # The most digits a number may have: CPython 3.11 refuses to convert longer
 # digit strings by default, and 3.10 may not, so the parser enforces one
-# limit on every version.
+# limit on every version, on the numbers it reads and on the numerators and
+# denominators of the coefficients it returns, so every result prints.
 _MAX_DIGITS = 4300
+# The least magnitude with more than _MAX_DIGITS digits.
+_TOO_LONG = 10**_MAX_DIGITS
 
 
 def _is_integer(token: str) -> bool:
@@ -452,7 +455,8 @@ class _Parser:
     every value is a plain term dict (monomial to int or Fraction, no zero
     coefficients) owned by the parser, so a sum accumulates in place; only
     the final result becomes a Polynomial.  A ParseError reports the offset
-    of the offending token, or the length of the text at its end.
+    of the offending token, or the length of the text at its end; a
+    coefficient of the result that is too long is found there.
     """
 
     def __init__(self, text: str, nvars: int):
@@ -487,10 +491,11 @@ class _Parser:
         token = self.tokens[self.k]
         if token:
             self.fail(f"unexpected {token[0]!r}")
-        return Polynomial._unchecked(
-            self.nvars,
-            {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()},
-        )
+        coefficients = {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items()}
+        for c in coefficients.values():
+            if abs(c.numerator) >= _TOO_LONG or c.denominator >= _TOO_LONG:
+                self.fail(f"coefficient longer than {_MAX_DIGITS} digits")
+        return Polynomial._unchecked(self.nvars, coefficients)
 
     def expr(self) -> dict:
         tokens = self.tokens
@@ -517,7 +522,15 @@ class _Parser:
         if self.tokens[self.k] != "^":
             return base
         self.k += 1
-        return _power(base, self.integer(), {self.zero: 1})
+        e = self.integer()
+        if len(base) == 1:
+            # |c|^e >= 2^((b - 1) * e) for a numerator or denominator of b
+            # bits: refuse a power sure to be too long before computing it.
+            (c,) = base.values()
+            b = max(abs(c.numerator), c.denominator).bit_length()
+            if (b - 1) * e >= _TOO_LONG.bit_length():
+                self.fail(f"coefficient longer than {_MAX_DIGITS} digits", self.k - 1)
+        return _power(base, e, {self.zero: 1})
 
     def atom(self) -> dict:
         token = self.tokens[self.k]

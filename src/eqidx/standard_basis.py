@@ -16,14 +16,15 @@ deep tail makes the leading monomial creep down one monomial at a time).
 Two cures work together.  The highest corner: once the leading monomials
 contain every monomial of some degree N, terms above N are dropped, and the
 computation runs in a finite space.  And a race: direct Mora and the
-homogenizing lift (a global Groebner basis of the homogenized generators,
-which always terminates and recovers a minimal standard basis of the same
+homogenizing lift (the global pair loop on the homogenized generators, which
+always terminates and, dehomogenized, yields a standard basis of the same
 ideal) take turns of doubling numbers of reduction steps, and the first to
-finish returns the basis.  The pair loop and both reductions are
-generators, so direct Mora can pause in the middle of a reduction and
-resume there (the lift pauses between divisions).  Quotient extraction
-walks the staircase of a zero-dimensional leading ideal to its standard
-monomials.
+finish returns the basis.  Both runs leave through one exit, which keeps a
+minimal set of elements and makes them monic; neither reduces the tails.
+The pair loop and both reductions are generators, so direct Mora can pause
+in the middle of a reduction and resume there (the lift pauses between
+divisions).  Quotient extraction walks the staircase of a zero-dimensional
+leading ideal to its standard monomials.
 
 Coefficients are Fractions only at the Polynomial boundary.  Generators
 enter as primitive integer term dicts (coprime integer coefficients, see
@@ -528,14 +529,14 @@ def _full_reduce(key: KeyFn, clock: Clock, p: IntTerms, reducers: Sequence[Entry
     return remainder
 
 
-def _global_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
-    """The reduced Groebner basis, computed by a run that spends ``clock``."""
+def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
+    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
     order = gens.order
+    if order.is_local:
+        raise ValueError("buchberger_global requires a global order")
     key = _OrderKeys(order).__getitem__
-    reduce = partial(_full_reduce, key, clock)
-    live = yield from _pair_loop(
-        [_integer_terms(g) for g in gens.generators], key, reduce, False
-    )
+    generators = [_integer_terms(g) for g in gens.generators]
+    live = _finish(_pair_loop(generators, key, partial(_full_reduce, key, [inf]), False))
     minimal = _minimalize(live, key)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
@@ -544,13 +545,6 @@ def _global_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, Reduc
         for i, (lm, _, g) in enumerate(minimal)
     ]
     return ReducedBasis(tuple(reduced), order, "global", tuple(map(itemgetter(0), minimal)))
-
-
-def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
-    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
-    if gens.order.is_local:
-        raise ValueError("buchberger_global requires a global order")
-    return _finish(_global_run(gens, [inf]))
 
 
 def _homogenize(p: Polynomial) -> Polynomial:
@@ -562,9 +556,11 @@ def _homogenize(p: Polynomial) -> Polynomial:
     )
 
 
-def _dehomogenize(p: Polynomial) -> Polynomial:
-    """Set the trailing variable to one.  Homogeneous terms never collide."""
-    return Polynomial._unchecked(p.nvars - 1, {mon[:-1]: c for mon, c in p.terms.items()})
+def _local_basis(order: MonomialOrder, key: KeyFn, entries: Sequence[tuple]) -> ReducedBasis:
+    """The monic minimal standard basis of (leading monomial, ..., terms) tuples."""
+    minimal = _minimalize(entries, key)
+    elements = tuple(_monic(order.nvars, e[-1], e[0]) for e in minimal)
+    return ReducedBasis(elements, order, "local", tuple(map(itemgetter(0), minimal)))
 
 
 def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
@@ -576,21 +572,18 @@ def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, Reduced
     dehomogenized Groebner basis elements lie in the original ideal and their
     leading monomials generate its full local leading ideal (Greuel and
     Pfister, A Singular Introduction to Commutative Algebra, section 1.7).
-    The global computation is a run that spends ``clock``.
+    The global pair loop is a run that spends ``clock``; its elements are
+    dehomogenized and minimalized as they are, so, as with direct Mora, the
+    tails are not reduced.
     """
-    order = gens.order
-    lifted = GeneratorSet(
-        tuple(_homogenize(g) for g in gens.generators if g.terms),
-        MonomialOrder("homogenized", order.nvars + 1),
+    key = _OrderKeys(MonomialOrder("homogenized", gens.order.nvars + 1)).__getitem__
+    reduce = partial(_full_reduce, key, clock)
+    live = yield from _pair_loop(
+        [_integer_terms(_homogenize(g)) for g in gens.generators], key, reduce, False
     )
-    polys = [_dehomogenize(b) for b in (yield from _global_run(lifted, clock)).elements]
-    minimal = _minimalize([(g.leading_monomial(order), g) for g in polys], order.key)
-    return ReducedBasis(
-        tuple(g.monic(order) for _, g in minimal),
-        order,
-        "local",
-        tuple(map(itemgetter(0), minimal)),
-    )
+    # Setting the trailing variable to one: homogeneous terms never collide.
+    local = [(lm[:-1], {mon[:-1]: c for mon, c in g.items()}) for lm, _, g in live]
+    return _local_basis(gens.order, gens.order.key, local)
 
 
 def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
@@ -600,19 +593,12 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
 
 def _direct_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
     """Direct Mora with the highest-corner cut, as a run that spends ``clock``."""
-    order = gens.order
-    key = _OrderKeys(order).__getitem__
+    key = _OrderKeys(gens.order).__getitem__
     reduce = partial(_mora_weak_nf, key, clock)
     live = yield from _pair_loop(
         [_integer_terms(g) for g in gens.generators], key, reduce, True
     )
-    minimal = _minimalize(live, key)
-    return ReducedBasis(
-        tuple(_monic(order.nvars, g, lm) for lm, _, g in minimal),
-        order,
-        "local",
-        tuple(map(itemgetter(0), minimal)),
-    )
+    return _local_basis(gens.order, key, live)
 
 
 # Reduction steps in the first turn of each run of the mora_local race;
@@ -632,10 +618,10 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
     generators, which always terminates.  The runs take turns of
     reduction steps, the direct run first; the turns double in length each
     round, so the loser spends at most about twice the winner's steps, and
-    the winner depends on step counts alone.  The result is minimal
-    and monic; tails are not reduced, which is enough to determine the
-    leading ideal and hence all quotient data.  The leading ideal is the
-    same whichever run wins.
+    the winner depends on step counts alone.  Whichever run wins, the result
+    is minimal and monic and its tails are not reduced, which is enough to
+    determine the leading ideal and hence all quotient data.  The leading
+    ideal is the same whichever run wins.
     """
     if not gens.order.is_local:
         raise ValueError("mora_local requires a local order")

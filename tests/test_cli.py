@@ -153,6 +153,14 @@ def test_input_error_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "index", "--input", long_literal)
     assert code == 2 and json.loads(out)["error"] == "Parse"
 
+    # A coefficient too long to print is refused by verify as by index.
+    long_value = write_json(
+        tmp_path, {"group": {"order": 1}, "weights": [0], "form": ["10^4400*z1"]}, "v.json"
+    )
+    for argv in (("index",), ("verify", "--suite", "coincidence", "--cases", "0")):
+        code, out = run(capsys, *argv, "--input", long_value)
+        assert code == 2 and json.loads(out)["error"] == "Parse"
+
 
 def test_usage_errors_and_help(capsys):
     assert main(["index"]) == 2

@@ -237,17 +237,30 @@ def test_parser_errors():
 
 def test_parser_digit_limit():
     # A number has at most 4,300 digits on every Python version (CPython
-    # 3.11 would refuse to convert a longer one with a ValueError).
+    # 3.11 would refuse to convert a longer one with a ValueError).  So does
+    # every numerator and denominator the text evaluates to, so each accepted
+    # polynomial prints and parses back.  A one-term power sure to be too
+    # long is refused at its exponent before it is computed (3^1000000 would
+    # take a noticeable time); any other too long coefficient is found at
+    # the end of the text.
     assert parse_polynomial("1" * 4300 + "*z1", 1).terms == {(1,): Fraction(int("1" * 4300))}
+    p = parse_polynomial("10^4299*z1", 1)
+    assert parse_polynomial(format_polynomial(p), 1) == p
     for text, position in [
         ("1" * 4301 + "*z1", 0),
         ("z1 + 3/" + "7" * 4301, 7),
         ("z1^" + "2" * 4301, 3),
         ("2*z" + "0" * 4300 + "1", 2),
+        ("10^4300*z1", 10),
+        ("3^1000000", 2),
+        ("z1 + (10^4000)^2", 15),
+        ("10^4000*10^4000", 15),
+        ("(1/3)^10000", 11),
+        ("9" * 4300 + " + 1", 4304),
     ]:
         with pytest.raises(ParseError) as e:
             parse_polynomial(text, 1)
-        assert e.value.position == position
+        assert e.value.position == position, text[:20]
         assert "longer than 4300 digits" in str(e.value)
 
 

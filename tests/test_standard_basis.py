@@ -22,7 +22,6 @@ from eqidx.rep_rings import CyclicGroup
 from eqidx.standard_basis import (
     GeneratorSet,
     ReducedBasis,
-    _dehomogenize,
     _homogenize,
     _homogenized_local,
     _primitive,
@@ -362,7 +361,8 @@ def test_truncate_primitive_homogenize_helpers():
     assert _primitive(Polynomial.zero(2)).is_zero()
     h = _homogenize(P("z1^2 + z2 + 1", 2))
     assert h.terms.keys() == {(2, 0, 0), (0, 1, 1), (0, 0, 2)}
-    assert _dehomogenize(h) == P("z1^2 + z2 + 1", 2)
+    # Setting the trailing variable to one, as the lift does, undoes it.
+    assert {mon[:-1]: c for mon, c in h.terms.items()} == P("z1^2 + z2 + 1", 2).terms
 
 
 def _counted_lifts(monkeypatch):
@@ -595,6 +595,34 @@ def test_engine_bases_are_pinned(monkeypatch):
             assert truncated_quotient_dimension(list(gens) + [g], bound) == dimension
         checked += 1
     assert checked == 34
+
+
+def test_lift_basis_lies_in_its_ideal():
+    # The lift returns its live elements dehomogenized, tails unreduced.  On
+    # the small ideals of the pinned local corpus every element lies in its
+    # ideal and the leading ideal is the one mora_local finds.  The mu=96
+    # and mu=89 ideals, which the lift wins, are past the truncation oracle's
+    # reach: there every generator reduces to zero against the lift's basis.
+    checked = 0
+    for s in range(40):
+        gens = random_case(random.Random(s), max_order=6, max_vars=3, max_degree=6)[0].components
+        ideal = GeneratorSet(tuple(gens), MonomialOrder.local_order(gens[0].nvars))
+        lifted = _homogenized_local(ideal)
+        bound = 2 + max(map(sum, quotient_basis(lifted).monomials))
+        if bound > 9:
+            continue
+        assert set(lifted.leading_monomials()) == set(mora_local(ideal).leading_monomials())
+        dimension = truncated_quotient_dimension(list(gens), bound)
+        for g in lifted.elements:
+            assert truncated_quotient_dimension(list(gens) + [g], bound) == dimension
+        checked += 1
+    assert checked == 34
+    for texts in HARD_IDEALS[1:]:
+        gens = local_gens(texts, 3)
+        basis = mora_local(gens)
+        assert basis.elements == _homogenized_local(gens).elements
+        for g in gens.generators:
+            assert normal_form(g, basis).is_zero()
 
 
 def test_public_helpers_are_pinned():
