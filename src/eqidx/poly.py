@@ -60,16 +60,20 @@ def monomial_weight(mon: Monomial, weights: Sequence[int], modulus: int) -> int:
 
 
 def _add_multiple(terms: dict, q: int | Fraction, shift: Monomial,
-                  other: Mapping[Monomial, int | Fraction]) -> None:
+                  other: Mapping[Monomial, int | Fraction],
+                  created: list | None = None) -> None:
     """terms += q * z^shift * other, in place, dropping the terms that cancel.
 
     ``terms`` and ``other`` map monomials to int or Fraction coefficients.
+    The monomials new to ``terms`` are appended to ``created``, if given.
     """
     for mon, c in other.items():
         mon = tuple(map(add, mon, shift))
         s = terms.get(mon)
         if s is None:
             terms[mon] = q * c
+            if created is not None:
+                created.append(mon)
         elif s := s + q * c:
             terms[mon] = s
         else:

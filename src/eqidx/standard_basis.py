@@ -35,7 +35,10 @@ content, so every intermediate polynomial is the primitive positive multiple
 of its exact rational counterpart.  Results leave as monic Polynomials; the
 public helpers (s_polynomial, the normal forms) return exact Fractions.
 Order keys are computed once per monomial in a dict owned by one engine
-run.
+run, and so are divisor masks.  A reduction step costs about its reducer's
+terms, not the whole remainder's: each reduction keeps its remainder's
+monomials sorted by order key, and full division pretests every reducer
+with its divisor mask.
 """
 
 from __future__ import annotations
@@ -147,6 +150,25 @@ class _OrderKeys(dict):
         return k
 
 
+class _Masks(dict):
+    """The divisor masks of the monomials one computation meets, each computed once.
+
+    Five bits per variable say whether its exponent is at least 1, 2, 4, 8
+    and 16.  If a divides b, every bit of the mask of a is set in the mask
+    of b; so a reducer whose mask has a bit outside the mask of a monomial
+    cannot divide it, and that test is one AND.  Like _OrderKeys, the dict
+    lives only as long as one engine run.
+    """
+
+    def __missing__(self, mon: Monomial) -> int:
+        mask = 0
+        for e in mon:
+            bits = (1 << e.bit_length()) - 1  # one bit for each of 1, 2, 4, ... up to e
+            mask = mask << 5 | bits & 31
+        self[mon] = mask
+        return mask
+
+
 def _integer_terms(p: Polynomial) -> IntTerms:
     """The terms of _primitive(p), as ints."""
     return {mon: c.numerator for mon, c in _primitive(p).terms.items()}
@@ -165,13 +187,14 @@ def _monic(nvars: int, terms: IntTerms, lm: Monomial) -> Polynomial:
 
 
 def _cancel(f: IntTerms, lm_f: Monomial, g: IntTerms, lm_g: Monomial,
-            lm: Monomial) -> tuple[IntTerms, int]:
+            lm: Monomial, created: list | None = None) -> tuple[IntTerms, int]:
     """The fraction-free step a*z^(lm/lm_f)*f - b*z^(lm/lm_g)*g, cancelling at lm.
 
     (a, b) are the leading coefficients of g and f over their gcd, signed so
     that a > 0; returns the new terms and a.  With lm the lcm of the two
     leading monomials this is an S-polynomial, with lm = lm_f a reduction
-    step of f by g.
+    step of f by g, and then the monomials it adds to those of f are
+    appended to ``created``, if given.
     """
     lc_f, lc_g = f[lm_f], g[lm_g]
     d = gcd(lc_f, lc_g)
@@ -183,7 +206,7 @@ def _cancel(f: IntTerms, lm_f: Monomial, g: IntTerms, lm_g: Monomial,
     else:
         out = {}
         _add_multiple(out, a, mon_div(lm, lm_f), f)
-    _add_multiple(out, -b, mon_div(lm, lm_g), g)
+    _add_multiple(out, -b, mon_div(lm, lm_g), g, created)
     return out, a
 
 
@@ -215,8 +238,8 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     if order.is_local:
         raise ValueError("global normal form requires a global order")
     terms = _integer_terms(p)
-    reducers = [_entry(_integer_terms(g), order.key) for g in basis]
-    remainder, scale, _ = _full_remainder(terms, reducers, order.key)
+    reducers = [_entry(_integer_terms(g), order.key) for g in basis if g.terms]
+    remainder, scale, _ = _full_remainder(terms, reducers, order.key, _Masks())
     if not remainder:
         return Polynomial._unchecked(p.nvars, {})
     # remainder = scale * (exact remainder of terms), and terms is a
@@ -226,25 +249,38 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     return Polynomial._unchecked(p.nvars, {mon: c / unit for mon, c in remainder.items()})
 
 
-def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
-                    key: KeyFn) -> tuple[IntTerms, Fraction, int]:
+def _full_remainder(p: IntTerms, reducers: Sequence[Entry], key: KeyFn,
+                    masks: _Masks) -> tuple[IntTerms, Fraction, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
     A step scales the terms already moved to the remainder together with the
-    rest, then divides the content out of both.  Returns the primitive
-    remainder, the positive s with remainder = s * (exact remainder of p),
-    and the number of steps.
+    rest, then divides the content out of both.  The monomials still to
+    divide are kept sorted by order key, and a reducer's leading monomial
+    is tested for division only when its mask passes (see _Masks).  Returns
+    the primitive remainder, the positive s with remainder = s * (exact
+    remainder of p), and the number of steps.
     """
     work = dict(p)
+    # The monomials of work in increasing order, next to stale entries whose
+    # monomial a step cancelled; each step adds the monomials it creates,
+    # all below the one it cancels at.
+    mons = sorted(work, key=key)
+    tests = [(masks[lm_g], lm_g, g) for lm_g, _, g in reducers]
     remainder: IntTerms = {}
     scale = Fraction(1)
     steps = 0
     while work:
-        lm = max(work, key=key)
-        for lm_g, _, g in reducers:
-            if mon_divides(lm_g, lm):
+        lm = mons.pop()
+        if lm not in work:
+            continue
+        outside = ~masks[lm]
+        for mask_g, lm_g, g in tests:
+            if not mask_g & outside and mon_divides(lm_g, lm):
                 steps += 1
-                work, a = _cancel(work, lm, g, lm_g, lm)
+                created: list[Monomial] = []
+                work, a = _cancel(work, lm, g, lm_g, lm, created)
+                for mon in created:
+                    insort(mons, mon, key=key)
                 if a != 1:
                     remainder = {mon: a * c for mon, c in remainder.items()}
                     scale *= a
@@ -322,8 +358,16 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
     # Only this reduction can refresh the corner while it runs (the pair
     # loop waits for it), so the value asked for last stays current.
     top = corner(False)
+    # The monomials of h in increasing order, grown by the monomials each
+    # step creates.  Entries whose monomial left h are stale and dropped as
+    # they reach either end: the last live entry is lm(h), and under a local
+    # degree order the first has the top degree of h.
+    mons = sorted(h, key=key)
+    lo = 0
     while h:
-        lm_h = max(h, key=key)
+        while mons[-1] not in h:
+            mons.pop()
+        lm_h = mons[-1]
         for ec_g, _, _, lm_g, g in pool:
             if mon_divides(lm_g, lm_h):
                 break
@@ -338,7 +382,9 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
         # positive ecart can raise the ecart of h or reach past the corner.
         if ec_g:
             if top is None:
-                ec_h = max(map(sum, h)) - sum(lm_h)
+                while mons[lo] not in h:
+                    lo += 1
+                ec_h = sum(mons[lo]) - sum(lm_h)
                 if ec_g > ec_h and (top := corner(True)) is None:
                     # Recruiting h itself keeps later reductions from raising
                     # the ecart without bound; this is what makes Mora
@@ -347,8 +393,11 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
                     counter += 1
             if top is not None and sum(lm_h) + ec_g > top:
                 cut = top = corner(True)
-        h = _cancel(h, lm_h, g, lm_g, lm_h)[0]
+        created: list[Monomial] = []
+        h = _cancel(h, lm_h, g, lm_g, lm_h, created)[0]
         h = _content_free(h) if cut is None else _truncated(h, cut)
+        for mon in created:
+            insort(mons, mon, lo, key=key)
     return h
 
 
@@ -515,14 +564,14 @@ def _minimalize(entries: Sequence[tuple], key: KeyFn) -> list[tuple]:
     return kept
 
 
-def _full_reduce(key: KeyFn, clock: Clock, p: IntTerms, reducers: Sequence[Entry],
-                 corner: Corner) -> Generator[None, None, IntTerms]:
+def _full_reduce(key: KeyFn, masks: _Masks, clock: Clock, p: IntTerms,
+                 reducers: Sequence[Entry], corner: Corner) -> Generator[None, None, IntTerms]:
     """Full division for the pair loop under a global order (which has no corner).
 
     A generator: the division's steps are spent from ``clock`` as a whole,
     after it, and the loop pauses while the clock is overspent.
     """
-    remainder, _, steps = _full_remainder(p, reducers, key)
+    remainder, _, steps = _full_remainder(p, reducers, key, masks)
     clock[0] -= steps
     while clock[0] <= 0:
         yield
@@ -535,13 +584,14 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
     key = _OrderKeys(order).__getitem__
+    masks = _Masks()
     generators = [_integer_terms(g) for g in gens.generators]
-    live = _finish(_pair_loop(generators, key, partial(_full_reduce, key, [inf]), False))
+    live = _finish(_pair_loop(generators, key, partial(_full_reduce, key, masks, [inf]), False))
     minimal = _minimalize(live, key)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
     reduced = [
-        _monic(order.nvars, _full_remainder(g, minimal[:i] + minimal[i + 1 :], key)[0], lm)
+        _monic(order.nvars, _full_remainder(g, minimal[:i] + minimal[i + 1 :], key, masks)[0], lm)
         for i, (lm, _, g) in enumerate(minimal)
     ]
     return ReducedBasis(tuple(reduced), order, "global", tuple(map(itemgetter(0), minimal)))
@@ -577,7 +627,7 @@ def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, Reduced
     tails are not reduced.
     """
     key = _OrderKeys(MonomialOrder("homogenized", gens.order.nvars + 1)).__getitem__
-    reduce = partial(_full_reduce, key, clock)
+    reduce = partial(_full_reduce, key, _Masks(), clock)
     live = yield from _pair_loop(
         [_integer_terms(_homogenize(g)) for g in gens.generators], key, reduce, False
     )

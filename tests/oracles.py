@@ -192,21 +192,36 @@ def _to_sympy(p: Polynomial, symbols) -> sympy.Expr:
     return expr
 
 
+def _from_sympy(poly: sympy.Poly, n: int, unit=1) -> Polynomial:
+    """The Polynomial of a sympy Poly in n variables, divided by ``unit``."""
+    terms = {}
+    for exps, c in poly.terms():
+        q = sympy.Rational(c) / unit
+        if q:
+            terms[tuple(int(e) for e in exps)] = Fraction(int(q.p), int(q.q))
+    return Polynomial(n, terms)
+
+
 def sympy_reduced_groebner(polys) -> set[Polynomial]:
     """The reduced degrevlex Groebner basis via sympy, every element made monic."""
     n = polys[0].nvars
     symbols = sympy.symbols(f"z1:{n + 1}")
     exprs = [_to_sympy(p, symbols) for p in polys if p.terms]
     basis = sympy.groebner(exprs, *symbols, order="grevlex")
-    out = set()
-    for g in basis.polys:
-        lc = g.LC(order="grevlex")
-        terms = {}
-        for exps, c in g.terms():
-            q = sympy.Rational(c) / lc
-            terms[tuple(int(e) for e in exps)] = Fraction(int(q.p), int(q.q))
-        out.add(Polynomial(n, terms))
-    return out
+    return {_from_sympy(g, n, g.LC(order="grevlex")) for g in basis.polys}
+
+
+def sympy_normal_form(p: Polynomial, basis) -> Polynomial:
+    """The remainder of p on full division by ``basis`` via sympy, under degrevlex.
+
+    Against a Groebner basis the remainder does not depend on how the
+    division chooses its reducers, so it is canonical.
+    """
+    n = p.nvars
+    symbols = sympy.symbols(f"z1:{n + 1}")
+    divisors = [_to_sympy(g, symbols) for g in basis if g.terms]
+    _, remainder = sympy.reduced(_to_sympy(p, symbols), divisors, *symbols, order="grevlex")
+    return _from_sympy(sympy.Poly(remainder, *symbols), n)
 
 
 def sympy_determinant(rows) -> int:

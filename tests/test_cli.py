@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
-from eqidx.cli import main, parse_report_payload, run_verify
+import pytest
+
+from eqidx.cli import main, parse_report_payload, problem_from_dict, run_verify
+from eqidx.errors import InputError
 from eqidx.equiv_index import index_report
 from eqidx.rep_rings import BurnsideElement, CyclicGroup, RepRingElement
 
@@ -152,6 +156,26 @@ def test_input_error_exit_codes(tmp_path, capsys):
     )
     code, out = run(capsys, "index", "--input", long_literal)
     assert code == 2 and json.loads(out)["error"] == "Parse"
+
+    # The group order is bounded: the limit itself is accepted, and one
+    # above it is refused, by verify as by index, before a character of that
+    # many coefficients is allocated.
+    at_limit = write_json(
+        tmp_path, {"group": {"order": 10_000}, "weights": [0], "form": ["z1^2"]}, "m.json"
+    )
+    code, out = run(capsys, "index", "--input", at_limit)
+    assert code == 0 and json.loads(out)["hom"] == [2] + [0] * 9_999
+    above = {"group": {"order": 10_001}, "weights": [0], "form": ["z1^2"]}
+    tracemalloc.start()
+    with pytest.raises(InputError, match="above the limit"):
+        problem_from_dict(above)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 10_001 * 8
+    above = write_json(tmp_path, above, "big.json")
+    for argv in (("index",), ("verify", "--suite", "coincidence", "--cases", "0")):
+        code, out = run(capsys, *argv, "--input", above)
+        assert code == 2 and json.loads(out)["error"] == "Input"
 
     # A coefficient too long to print is refused by verify as by index.
     long_value = write_json(

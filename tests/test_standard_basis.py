@@ -37,6 +37,7 @@ from oracles import (
     box_standard_monomials,
     local_quotient_dimension,
     milnor_product,
+    sympy_normal_form,
     sympy_reduced_groebner,
     truncated_quotient_dimension,
 )
@@ -166,6 +167,42 @@ def test_global_normal_form_is_canonical():
     assert normal_form(r, basis) == r
     with pytest.raises(ValueError):
         global_normal_form(P("z", 1), [P("z", 1)], MonomialOrder.local_order(1))
+    # A zero element divides nothing and is skipped, as in mora_normal_form.
+    glob = MonomialOrder.global_order(1)
+    assert global_normal_form(P("z+z^2", 1), [Polynomial.zero(1), P("z", 1)], glob).is_zero()
+    assert global_normal_form(P("z+3", 1), [Polynomial.zero(1)], glob) == P("z+3", 1)
+
+
+def test_global_normal_form_against_sympy():
+    # Against a reduced Groebner basis the remainder of full division is
+    # canonical, so sympy's division must find the same one.  The dividends
+    # have many terms, some to reduce and some to emit between steps, and
+    # the fractional basis coefficients make steps that rescale the terms
+    # already emitted.  Plain generators (fewer than the variables, so the
+    # ideal is not the whole ring), homogenized ones as the lift builds them,
+    # and zero-dimensional deformations as a conservation check reduces.
+    rng = random.Random(557)
+    cases = []
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        cases.append(_random_polys(rng, n, rng.randint(1, n - 1), 3))
+    for _ in range(6):
+        n = rng.randint(2, 3)
+        cases.append([_homogenize(p) for p in _random_polys(rng, n, rng.randint(2, 3), 2)])
+    cases += [_deformed_pure_power_form(rng, rng.randint(2, 3)) for _ in range(4)]
+    nonzero = 0
+    for gens in cases:
+        n = gens[0].nvars
+        order = MonomialOrder.global_order(n)
+        basis = buchberger_global(GeneratorSet(tuple(gens), order)).elements
+        for _ in range(3):
+            factor, rest = _random_polys(rng, n, 2, 4)
+            p = rng.choice(gens) * factor + rest * rest
+            ours = global_normal_form(p, basis, order)
+            assert ours == sympy_normal_form(p, basis)
+            nonzero += not ours.is_zero()
+    # 39 of the 48 remainders are nonzero.
+    assert nonzero == 39
 
 
 def test_mora_examples():
@@ -503,6 +540,14 @@ def test_pullback_of_verify_mix_case_101():
     before = index_report(form, action)
     assert before.strata[1].milnor_number == 55
     assert index_report(pulled, action) == before
+    # Every element, tails included (5 elements of 15, 14, 112, 492 and 150
+    # terms): the reduction steps that build them are pinned, not only the
+    # leading ideal.
+    basis = mora_local(GeneratorSet(pulled.components, MonomialOrder.local_order(3)))
+    assert (
+        _basis_digest([basis])
+        == "e90a7bd61592e00ee76c286eaadd4c83fda36e0e3c52ff670c238a5d39da04c0"
+    )
 
 
 def test_homogenized_lift_alone():
@@ -553,6 +598,9 @@ def test_engine_bases_are_pinned(monkeypatch):
     # bases pin their leading monomials (recorded before the corner and the
     # race), the number of ideals the lift wins, and, on the ideals small
     # enough for the truncation oracle, that every element lies in its ideal.
+    # Their elements, and those of the lift run alone, are pinned as well
+    # (recorded with the race and the corner in place): a change that only
+    # makes reduction steps cheaper keeps every step, and so every tail.
     local = [
         random_case(random.Random(s), max_order=6, max_vars=3, max_degree=6)[0].components
         for s in range(40)
@@ -582,6 +630,18 @@ def test_engine_bases_are_pinned(monkeypatch):
     assert (
         _basis_digest(global_bases)
         == "83b7898f468f4d1c4b1227045fb0bb9fc272f215e444713493284d5b3ce90d12"
+    )
+    assert (
+        _basis_digest(local_bases)
+        == "8001b3f774572eb7ed3bd20d09b1baf8643c483a01bc0e67355d145a431f8784"
+    )
+    lifted = [
+        _homogenized_local(GeneratorSet(tuple(c), MonomialOrder.local_order(c[0].nvars)))
+        for c in local
+    ]
+    assert (
+        _basis_digest(lifted)
+        == "692141d69b5a657a765b5bebebb9a9202ce604211eb9f916bad1081eac97367f"
     )
     checked = 0
     for gens, basis in zip(local, local_bases):
