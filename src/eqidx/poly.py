@@ -438,6 +438,27 @@ _TOKEN = re.compile(r"\s*([0-9]+|z[0-9]*|\S)")
 _MAX_DIGITS = 4300
 # The least magnitude with more than _MAX_DIGITS digits.
 _TOO_LONG = 10**_MAX_DIGITS
+# The most terms the power of a multi-term base may have: the parser refuses
+# a power whose term bound (see _power_terms) is larger before expanding it.
+# At the limit (z1 + z2)^999 parses in about 0.4 s on a 2-core VM under
+# Python 3.11, and (z1 + z2 + z3)^43 (990 terms) in 0.05 s; (1 + z1)^2000
+# takes 2.4 s and (z1 + z2 + z3)^200 (20,301 terms) 24 s.
+_MAX_POWER_TERMS = 1_000
+
+
+def _power_terms(t: int, e: int) -> int:
+    """C(e + t - 1, t - 1), the number of monomials of degree e in t variables.
+
+    It bounds the terms of the e-th power of t terms.  Computed one factor
+    at a time and returned as soon as it is past _MAX_POWER_TERMS, so a huge
+    exponent costs a few steps.
+    """
+    bound = 1
+    for i in range(1, min(e, t - 1) + 1):
+        bound = bound * (e + t - i) // i
+        if bound > _MAX_POWER_TERMS:
+            break
+    return bound
 
 
 def _is_integer(token: str) -> bool:
@@ -460,7 +481,9 @@ class _Parser:
     coefficients) owned by the parser, so a sum accumulates in place; only
     the final result becomes a Polynomial.  A ParseError reports the offset
     of the offending token, or the length of the text at its end; a
-    coefficient of the result that is too long is found there.
+    coefficient of the result that is too long is found there.  A power of a
+    base of several terms is refused at its exponent, before it is
+    expanded, when its term bound is above _MAX_POWER_TERMS.
     """
 
     def __init__(self, text: str, nvars: int):
@@ -534,6 +557,8 @@ class _Parser:
             b = max(abs(c.numerator), c.denominator).bit_length()
             if (b - 1) * e >= _TOO_LONG.bit_length():
                 self.fail(f"coefficient longer than {_MAX_DIGITS} digits", self.k - 1)
+        elif _power_terms(len(base), e) > _MAX_POWER_TERMS:
+            self.fail(f"power may have more than {_MAX_POWER_TERMS} terms", self.k - 1)
         return _power(base, e, {self.zero: 1})
 
     def atom(self) -> dict:

@@ -30,15 +30,17 @@ Coefficients are Fractions only at the Polynomial boundary.  Generators
 enter as primitive integer term dicts (coprime integer coefficients, see
 _primitive), and inside the pair loop, the S-polynomials, Mora's weak normal
 form and the full division every coefficient is an int: a reduction step is
-fraction-free, h <- a*h - b*z^s*g with a > 0, followed by division by the
-content, so every intermediate polynomial is the primitive positive multiple
-of its exact rational counterpart.  Results leave as monic Polynomials; the
+fraction-free, h <- a*h - b*z^s*g with a > 0, so every intermediate
+polynomial is a positive multiple of its exact rational counterpart.  The
+content is divided out after a step that scales (a > 1), which touches
+every term anyway, and once when a reduction ends, so every polynomial a
+reduction returns is primitive.  Results leave as monic Polynomials; the
 public helpers (s_polynomial, the normal forms) return exact Fractions.
 Order keys are computed once per monomial in a dict owned by one engine
 run, and so are divisor masks.  A reduction step costs about its reducer's
-terms, not the whole remainder's: each reduction keeps its remainder's
-monomials sorted by order key, and full division pretests every reducer
-with its divisor mask.
+terms, not the whole remainder's: each reduction owns its remainder and
+steps it in place, keeps its monomials sorted by order key, and full
+division pretests every reducer with its divisor mask.
 """
 
 from __future__ import annotations
@@ -186,28 +188,36 @@ def _monic(nvars: int, terms: IntTerms, lm: Monomial) -> Polynomial:
     return Polynomial._unchecked(nvars, {mon: Fraction(c, lc) for mon, c in terms.items()})
 
 
-def _cancel(f: IntTerms, lm_f: Monomial, g: IntTerms, lm_g: Monomial,
-            lm: Monomial, created: list | None = None) -> tuple[IntTerms, int]:
-    """The fraction-free step a*z^(lm/lm_f)*f - b*z^(lm/lm_g)*g, cancelling at lm.
+def _step(h: IntTerms, lm_h: Monomial, g: IntTerms, lm_g: Monomial,
+          created: list | None = None) -> int:
+    """The fraction-free step h <- a*h - b*z^(lm_h/lm_g)*g, in place, cancelling at lm_h.
 
-    (a, b) are the leading coefficients of g and f over their gcd, signed so
-    that a > 0; returns the new terms and a.  With lm the lcm of the two
-    leading monomials this is an S-polynomial, with lm = lm_f a reduction
-    step of f by g, and then the monomials it adds to those of f are
-    appended to ``created``, if given.
+    (a, b) are the leading coefficients of g and h over their gcd, signed so
+    that a > 0; returns a.  h is scaled only when a is not 1, so a step
+    otherwise costs the terms of g.  The monomials the step adds to those of
+    h are appended to ``created``, if given.
     """
-    lc_f, lc_g = f[lm_f], g[lm_g]
-    d = gcd(lc_f, lc_g)
-    a, b = lc_g // d, lc_f // d
+    lc_h, lc_g = h[lm_h], g[lm_g]
+    d = gcd(lc_h, lc_g)
+    a, b = lc_g // d, lc_h // d
     if a < 0:
         a, b = -a, -b
-    if lm == lm_f:
-        out = {mon: a * c for mon, c in f.items()} if a != 1 else dict(f)
-    else:
-        out = {}
-        _add_multiple(out, a, mon_div(lm, lm_f), f)
-    _add_multiple(out, -b, mon_div(lm, lm_g), g, created)
-    return out, a
+    if a != 1:
+        for mon, c in h.items():
+            h[mon] = a * c
+    _add_multiple(h, -b, mon_div(lm_h, lm_g), g, created)
+    return a
+
+
+def _cancel(f: IntTerms, lm_f: Monomial, g: IntTerms, lm_g: Monomial,
+            lm: Monomial) -> tuple[IntTerms, int]:
+    """The S-polynomial a*z^(lm/lm_f)*f - b*z^(lm/lm_g)*g of f and g, lm their lcm.
+
+    Returns fresh terms and the a > 0 of the step (see _step).
+    """
+    out: IntTerms = {}
+    _add_multiple(out, 1, mon_div(lm, lm_f), f)
+    return out, _step(out, lm, g, lm_g)
 
 
 def _content_free(terms: IntTerms) -> IntTerms:
@@ -253,12 +263,13 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], key: KeyFn,
                     masks: _Masks) -> tuple[IntTerms, Fraction, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
-    A step scales the terms already moved to the remainder together with the
-    rest, then divides the content out of both.  The monomials still to
-    divide are kept sorted by order key, and a reducer's leading monomial
-    is tested for division only when its mask passes (see _Masks).  Returns
-    the primitive remainder, the positive s with remainder = s * (exact
-    remainder of p), and the number of steps.
+    The division steps a copy of p in place.  A step that scales (a > 1)
+    scales the terms already moved to the remainder too, and then divides
+    the content out of both; the remainder is made primitive once more at
+    the end.  The monomials still to divide are kept sorted by order key,
+    and a reducer's leading monomial is tested for division only when its
+    mask passes (see _Masks).  Returns the primitive remainder, the positive
+    s with remainder = s * (exact remainder of p), and the number of steps.
     """
     work = dict(p)
     # The monomials of work in increasing order, next to stale entries whose
@@ -278,20 +289,24 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], key: KeyFn,
             if not mask_g & outside and mon_divides(lm_g, lm):
                 steps += 1
                 created: list[Monomial] = []
-                work, a = _cancel(work, lm, g, lm_g, lm, created)
+                a = _step(work, lm, g, lm_g, created)
                 for mon in created:
                     insort(mons, mon, key=key)
                 if a != 1:
                     remainder = {mon: a * c for mon, c in remainder.items()}
                     scale *= a
-                c = gcd(gcd(*work.values()), *remainder.values())
-                if c > 1:
-                    work = {mon: v // c for mon, v in work.items()}
-                    remainder = {mon: v // c for mon, v in remainder.items()}
-                    scale /= c
+                    c = gcd(gcd(*work.values()), *remainder.values())
+                    if c > 1:
+                        work = {mon: v // c for mon, v in work.items()}
+                        remainder = {mon: v // c for mon, v in remainder.items()}
+                        scale /= c
                 break
         else:
             remainder[lm] = work.pop(lm)
+    c = gcd(*remainder.values())
+    if c > 1:
+        remainder = {mon: v // c for mon, v in remainder.items()}
+        scale /= c
     return remainder, scale, steps
 
 
@@ -303,7 +318,8 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     monomial of the basis (or zero).  Unlike ordinary division the tail may
     keep reducible monomials: there exists a unit u with u*p = sum + result,
     which is exactly what leading-ideal and dimension computations need.
-    After a reduction step the result is primitive; without one it is p.
+    After a reduction step the result is primitive; without one it is p
+    itself, the same object.
     """
     if not order.is_local:
         raise ValueError("Mora normal form requires a local order")
@@ -340,19 +356,24 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
                   corner: Corner) -> Generator[None, None, IntTerms]:
     """Mora's weak normal form of primitive h by basis entries, fraction-free.
 
-    Every reduction step leaves a primitive remainder; without a step h
-    itself is returned.  A generator: each step spends one step of
-    ``clock``, and the reduction pauses (yields) when the clock is spent.
-    ``corner(fresh)`` is the highest corner, or None while none is known
-    (see _pair_loop).  A step that would recruit asks for a fresh one; once
-    there is one, earlier remainders are no longer recruited, since division
-    in the finite space of the monomials up to the corner terminates
-    without them, and a step that could reach past it drops the terms of
-    degree above a fresh corner.
+    The reduction copies h at its first step and steps the copy in place
+    (see _step); without a step h itself is returned.  The content is
+    divided out after a step that scaled, where the step has touched every
+    term anyway, where the terms above the corner are cut, and once at the
+    end, so the result is primitive.  A generator: each step spends one
+    step of ``clock``, and the reduction pauses (yields) when the clock is
+    spent.  ``corner(fresh)`` is the highest corner, or None while none is
+    known (see _pair_loop).  A step that would recruit asks for a fresh
+    one; once there is one, earlier remainders are no longer recruited,
+    since division in the finite space of the monomials up to the corner
+    terminates without them, and a step that could reach past it drops the
+    terms of degree above a fresh corner.
     """
     # The reducer pool, sorted by (ecart, order key of lm, insertion index):
     # the first entry whose leading monomial divides lm(h) is the reducer of
-    # least ecart, then least leading monomial, then oldest.
+    # least ecart, then least leading monomial, then oldest.  A recruited
+    # remainder need not be primitive: a reducer's positive multiple gives
+    # a positive multiple of the same step.
     pool = sorted((ec, key(lm), i, lm, g) for i, (lm, ec, g) in enumerate(reducers))
     counter = len(pool)
     # Only this reduction can refresh the corner while it runs (the pair
@@ -364,6 +385,7 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
     # degree order the first has the top degree of h.
     mons = sorted(h, key=key)
     lo = 0
+    owned = False  # whether h is this reduction's to change in place
     while h:
         while mons[-1] not in h:
             mons.pop()
@@ -388,17 +410,25 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
                 if ec_g > ec_h and (top := corner(True)) is None:
                     # Recruiting h itself keeps later reductions from raising
                     # the ecart without bound; this is what makes Mora
-                    # division terminate.
+                    # division terminate.  The pool keeps this h, and the
+                    # reduction goes on with a copy.
                     insort(pool, (ec_h, key(lm_h), counter, lm_h, h))
                     counter += 1
+                    owned = False
             if top is not None and sum(lm_h) + ec_g > top:
                 cut = top = corner(True)
+        if not owned:
+            h = dict(h)
+            owned = True
         created: list[Monomial] = []
-        h = _cancel(h, lm_h, g, lm_g, lm_h, created)[0]
-        h = _content_free(h) if cut is None else _truncated(h, cut)
+        a = _step(h, lm_h, g, lm_g, created)
+        if cut is not None:
+            h = _truncated(h, cut)
+        elif a != 1:
+            h = _content_free(h)
         for mon in created:
             insort(mons, mon, lo, key=key)
-    return h
+    return _content_free(h) if owned else h
 
 
 def _truncated(terms: IntTerms, corner: int) -> IntTerms:

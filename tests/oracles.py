@@ -3,8 +3,9 @@
 Each function recomputes a quantity by a route disjoint from the library's
 own algorithms: local quotient dimensions by truncated linear algebra over
 exact rationals, Burnside products by enumerating orbits of explicit G-sets,
-characters by exact root-of-unity traces, global bases via sympy, and Milnor
-numbers by the product formula.  Oracles favour obviousness over speed.
+characters by exact root-of-unity traces, global bases via sympy, full
+division by plain Fraction arithmetic, and Milnor numbers by the product
+formula.  Oracles favour obviousness over speed.
 """
 
 from __future__ import annotations
@@ -222,6 +223,38 @@ def sympy_normal_form(p: Polynomial, basis) -> Polynomial:
     divisors = [_to_sympy(g, symbols) for g in basis if g.terms]
     _, remainder = sympy.reduced(_to_sympy(p, symbols), divisors, *symbols, order="grevlex")
     return _from_sympy(sympy.Poly(remainder, *symbols), n)
+
+
+def fraction_full_remainder(p: Polynomial, basis, order) -> tuple[Polynomial, int]:
+    """Full division of p by ``basis`` in exact Fraction arithmetic, under a global order.
+
+    Each step cancels the leading term of what is left with the first basis
+    element whose leading monomial divides it; a leading term that no
+    element divides moves to the remainder.  Returns the remainder and the
+    number of steps.
+    """
+    work = dict(p.terms)
+    divisors = [(g.leading_monomial(order), g.terms) for g in basis if g.terms]
+    remainder = {}
+    steps = 0
+    while work:
+        lm = max(work, key=order.key)
+        for lm_g, g in divisors:
+            if all(a <= b for a, b in zip(lm_g, lm)):
+                q = work[lm] / g[lm_g]
+                shift = [b - a for a, b in zip(lm_g, lm)]
+                for mon, c in g.items():
+                    mon = tuple(x + s for x, s in zip(mon, shift))
+                    value = work.get(mon, 0) - q * c
+                    if value:
+                        work[mon] = value
+                    else:
+                        del work[mon]
+                steps += 1
+                break
+        else:
+            remainder[lm] = work.pop(lm)
+    return Polynomial(p.nvars, remainder), steps
 
 
 def sympy_determinant(rows) -> int:

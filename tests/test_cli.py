@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from eqidx.cli import main, parse_report_payload, problem_from_dict, run_verify
-from eqidx.errors import InputError
+from eqidx.errors import EqidxError, InputError
 from eqidx.equiv_index import index_report
 from eqidx.rep_rings import BurnsideElement, CyclicGroup, RepRingElement
 
@@ -184,6 +184,43 @@ def test_input_error_exit_codes(tmp_path, capsys):
     for argv in (("index",), ("verify", "--suite", "coincidence", "--cases", "0")):
         code, out = run(capsys, *argv, "--input", long_value)
         assert code == 2 and json.loads(out)["error"] == "Parse"
+
+
+def test_bezout_and_power_limits(tmp_path, capsys):
+    # A form or deformation whose Bezout number (the product of its
+    # component degrees) is above 100,000 is refused by problem_from_dict
+    # with an Input error, and a multi-term power that may have more than
+    # 1,000 terms by the parser with a Parse error: exit 2 under verify as
+    # under index, before the quotient or the power is computed.
+    def problem(form, deformation=None):
+        spec = {"group": {"order": 1}, "weights": [0] * len(form), "form": form}
+        if deformation is not None:
+            spec["deformation"] = deformation
+        return spec
+
+    assert problem_from_dict(problem(["z1^400", "z2^250"])).form.components[0].total_degree() == 400
+    problem_from_dict(problem(["z1^2", "z2^2"], ["z1^400 + z1", "z2^250"]))
+    problem_from_dict(problem(["(z1 + z2)^999", "z2"]))
+    cases = [
+        (problem(["z1^400", "z2^251"]), "Input", "form has Bezout number 100400"),
+        (problem(["z1^2000", "z2^2000"]), "Input", "form has Bezout number 4000000"),
+        (problem(["z1^1000000"]), "Input", "form has Bezout number 1000000"),
+        (problem(["z1^2", "z2^2"], ["z1^400", "z2^251"]), "Input", "deformation has Bezout"),
+        (problem(["(z1 + z2)^1000", "z2"]), "Parse", "more than 1000 terms"),
+        (problem(["(z1 + z2 + z3)^200", "z2", "z3"]), "Parse", "more than 1000 terms"),
+    ]
+    for spec, error, detail in cases:
+        tracemalloc.start()
+        with pytest.raises(EqidxError, match=detail):
+            problem_from_dict(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 100_000
+        path = write_json(tmp_path, spec, "limit.json")
+        for argv in (("index",), ("verify", "--suite", "coincidence", "--cases", "0")):
+            code, out = run(capsys, *argv, "--input", path)
+            assert code == 2 and json.loads(out)["error"] == error
+            assert detail in json.loads(out)["detail"]
 
 
 def test_usage_errors_and_help(capsys):

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, monomial orders, parser and printer."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,33 @@ def test_parser_digit_limit():
             parse_polynomial(text, 1)
         assert e.value.position == position, text[:20]
         assert "longer than 4300 digits" in str(e.value)
+
+
+def test_parser_power_term_limit():
+    # A power of a base of t > 1 terms to the e-th may have C(e + t - 1, t - 1)
+    # terms; above 1,000 it is refused at its exponent before it is
+    # expanded, however large the exponent.  One-term powers are bounded by
+    # their coefficient alone.
+    assert len(parse_polynomial("(z1 + z2)^999", 2).terms) == 1000
+    assert len(parse_polynomial("(z1 + z2 + z3)^43", 3).terms) == 990
+    # 44 terms squared: at most C(45, 2) = 990 terms (87 here).
+    assert len(parse_polynomial("(" + " + ".join(f"z1^{k}" for k in range(44)) + ")^2", 3).terms) == 87
+    assert parse_polynomial("(z1 + z2)^0", 2) == parse_polynomial("1", 2)
+    assert parse_polynomial("z1^1000000", 1).total_degree() == 1_000_000
+    for text, position in [
+        ("(z1 + z2)^1000", 10),
+        ("z1 + (z1 + z2 + z3)^44", 20),
+        ("(1 + z1)^" + "9" * 4300, 9),
+        ("(" + " + ".join(f"z1^{k}" for k in range(45)) + ")^2", 350),
+    ]:
+        tracemalloc.start()
+        with pytest.raises(ParseError) as e:
+            parse_polynomial(text, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert e.value.position == position, text[:20]
+        assert "more than 1000 terms" in str(e.value)
+        assert peak < 2_000_000
 
 
 # The canonical text of each valid input, and the message and position of

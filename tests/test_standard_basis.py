@@ -4,6 +4,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd, inf
 
 import pytest
 
@@ -16,6 +17,7 @@ from eqidx.poly import (
     Polynomial,
     format_polynomial,
     mon_divides,
+    mon_mul,
     parse_polynomial,
 )
 from eqidx.rep_rings import CyclicGroup
@@ -35,6 +37,7 @@ from eqidx.standard_basis import (
 )
 from oracles import (
     box_standard_monomials,
+    fraction_full_remainder,
     local_quotient_dimension,
     milnor_product,
     sympy_normal_form,
@@ -203,6 +206,130 @@ def test_global_normal_form_against_sympy():
             nonzero += not ours.is_zero()
     # 39 of the 48 remainders are nonzero.
     assert nonzero == 39
+
+
+def _content(terms):
+    return gcd(*terms.values())
+
+
+def _monic_homogeneous_polys(rng, n, count, order):
+    """Random homogeneous polynomials, integer coefficients, leading coefficient 1."""
+    polys = []
+    for _ in range(count):
+        degree = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mon = [0] * n
+            for _ in range(degree):
+                mon[rng.randrange(n)] += 1
+            terms[tuple(mon)] = Fraction(rng.randint(-4, 4) or 1)
+        terms[max(terms, key=order.key)] = Fraction(1)
+        polys.append(Polynomial(n, terms))
+    return polys
+
+
+def _even_remainder_dividend(rng, n, reducer, order):
+    """z^s * reducer + 2*r, every term of r below the leading term.
+
+    When ``reducer`` is the first of monic integer reducers that a division
+    tries on the leading term, the first step takes away z^s * reducer
+    exactly, and every later step keeps the content 2: the remainder has
+    content above 1 before it is made primitive.
+    """
+    shift = tuple(rng.randint(0, 2) for _ in range(n))
+    lead = order.key(mon_mul(reducer.leading_monomial(order), shift))
+    wanted, terms = rng.randint(1, 5), {}
+    for _ in range(40):
+        mon = tuple(rng.randint(0, 6) for _ in range(n))
+        if order.key(mon) < lead and len(terms) < wanted:
+            terms[mon] = Fraction(2 * (rng.randint(-5, 5) or 1))
+    return reducer * Polynomial(n, {shift: Fraction(1)}) + Polynomial(n, terms)
+
+
+def test_full_remainder_is_primitive_against_fraction_oracle(monkeypatch):
+    # Full division steps its remainder in place and takes the content out
+    # only after a step that scales (a > 1) and once at the end.  Against
+    # plain division in Fractions: the remainder is primitive, it is
+    # ``scale`` times the exact remainder, and the steps are the same.
+    # Random bases with fractional coefficients give scaling steps; monic
+    # integer bases and dividends built by _even_remainder_dividend give
+    # remainders of content above 1 that only the final division removes.
+    multipliers = []
+    step = standard_basis._step
+
+    def recording_step(*args):
+        multipliers.append(step(*args))
+        return multipliers[-1]
+
+    monkeypatch.setattr(standard_basis, "_step", recording_step)
+    rng = random.Random(1601)
+    cases = []
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        order = MonomialOrder.global_order(n)
+        basis = _random_polys(rng, n, rng.randint(1, 3), 3)
+        factor, rest = _random_polys(rng, n, 2, 3)
+        cases.append((rng.choice(basis) * factor + rest * rest, basis, order))
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        order = MonomialOrder.global_order(n)
+        basis = _monic_homogeneous_polys(rng, n, rng.randint(1, 3), order)
+        # Full division tries the reducers in list order.
+        cases.append((_even_remainder_dividend(rng, n, basis[0], order), basis, order))
+    contents = []
+    for p, basis, order in cases:
+        terms = standard_basis._integer_terms(p)
+        reducers = [standard_basis._entry(standard_basis._integer_terms(g), order.key) for g in basis]
+        remainder, scale, steps = standard_basis._full_remainder(
+            terms, reducers, order.key, standard_basis._Masks()
+        )
+        exact, exact_steps = fraction_full_remainder(
+            Polynomial(p.nvars, {mon: Fraction(c) for mon, c in terms.items()}), basis, order
+        )
+        assert steps == exact_steps
+        assert remainder == {mon: scale * c for mon, c in exact.terms.items()}
+        assert not remainder or _content(remainder) == 1
+        if exact.terms and all(c.denominator == 1 for c in exact.terms.values()):
+            contents.append(_content({mon: c.numerator for mon, c in exact.terms.items()}))
+    # Both kinds of case occur: 33 steps scale, and 37 exact remainders are
+    # integral with content above 1.
+    assert sum(a != 1 for a in multipliers) == 33
+    assert sum(c > 1 for c in contents) == 37
+
+
+def test_weak_normal_form_result_is_primitive():
+    # Mora's weak normal form takes the content out of its remainder after
+    # a step that scales, where it cuts at the corner, and once at the end;
+    # without a step it returns its input object.  Against homogeneous
+    # monic reducers (ecart zero) dividends built by _even_remainder_dividend
+    # keep the content 2 until the end.  Random reducers of positive ecart run
+    # under a fixed corner, which keeps the division in a finite space (with
+    # no corner one can creep for a long time).
+    rng = random.Random(1602)
+    stepped = 0
+    for case in range(60):
+        n = rng.randint(1, 3)
+        order = MonomialOrder.local_order(n)
+        if case % 2:
+            basis = _random_polys(rng, n, rng.randint(1, 3), 3)
+            p = rng.choice(basis) * _random_polys(rng, n, 1, 2)[0] + _random_polys(rng, n, 1, 4)[0]
+            corner = lambda fresh: 7
+        else:
+            basis = _monic_homogeneous_polys(rng, n, rng.randint(1, 3), order)
+            # The weak normal form tries reducers of least ecart first (all
+            # zero here), then of least leading monomial, then the oldest.
+            first = min(basis, key=lambda g: order.key(g.leading_monomial(order)))
+            p = _even_remainder_dividend(rng, n, first, order)
+            corner = standard_basis._no_corner
+        terms = standard_basis._integer_terms(p)
+        reducers = [standard_basis._entry(standard_basis._integer_terms(g), order.key) for g in basis]
+        h = standard_basis._finish(
+            standard_basis._mora_weak_nf(order.key, [inf], terms, reducers, corner)
+        )
+        assert not h or _content(h) == 1
+        stepped += h is not terms
+    # 53 of the 60 reductions take a step.
+    assert stepped == 53
 
 
 def test_mora_examples():
