@@ -62,6 +62,12 @@ _MAX_GROUP_ORDER = 10_000
 # z1^2000, z2^2000 7.4 s and 706 MB.
 _MAX_BEZOUT = 100_000
 
+# The most variables a problem may have; the Bezout number does not bound
+# linear components.  `eqidx index` on a dense linear form takes 0.2 s and
+# 18 MB at 32 variables, 1.3 s at 64 and 5.3 s at 100 on a 2-core VM under
+# Python 3.11, and on z1, ..., zn 0.3 s at 100 and 1.5 s at 200.
+_MAX_VARIABLES = 32
+
 
 def _is_integer(value: Any) -> bool:
     """A JSON integer; ``true`` and ``false`` are not, although bool subclasses int."""
@@ -114,6 +120,8 @@ def problem_from_dict(data: Any) -> ProblemSpec:
         _is_integer(w) for w in weights
     ):
         raise InputError("weights must be a nonempty list of integers")
+    if len(weights) > _MAX_VARIABLES:
+        raise InputError(f"{len(weights)} variables, above the limit of {_MAX_VARIABLES}")
     texts = data.get("form")
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise InputError("form must be a list of polynomial strings")

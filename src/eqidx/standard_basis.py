@@ -16,21 +16,22 @@ deep tail makes the leading monomial creep down one monomial at a time).
 Two cures work together.  The highest corner: once the leading monomials
 contain every monomial of some degree N, terms above N are dropped, and the
 computation runs in a finite space.  And a race: direct Mora and the
-homogenizing lift (the global pair loop on the homogenized generators, which
-always terminates and, dehomogenized, yields a standard basis of the same
-ideal) take turns of doubling numbers of reduction steps, and the first to
-finish returns the basis.  Both runs leave through one exit, which keeps a
-minimal set of elements and makes them monic; neither reduces the tails.
-The pair loop and both reductions are generators, so direct Mora can pause
-in the middle of a reduction and resume there (the lift pauses between
-divisions).  Quotient extraction walks the staircase of a zero-dimensional
-leading ideal to its standard monomials.
+homogenizing lift (the global pair loop on the homogenized generators, under
+a global order built from the requested local one, which always terminates
+and, dehomogenized, yields a standard basis of the same ideal) take turns
+of doubling numbers of reduction steps, and the first to finish returns the
+basis.  Both runs leave through one exit, which keeps a minimal set of
+elements and makes them monic; neither reduces the tails.  The pair loop
+and both reductions are generators, so direct Mora can pause in the middle
+of a reduction and resume there (the lift pauses between divisions).
+Quotient extraction walks the staircase of a zero-dimensional leading ideal
+to its standard monomials.
 
 Coefficients are Fractions only at the Polynomial boundary.  Generators
 enter as primitive integer term dicts (coprime integer coefficients, see
-_primitive), and inside the pair loop, the S-polynomials, Mora's weak normal
-form and the full division every coefficient is an int: a reduction step is
-fraction-free, h <- a*h - b*z^s*g with a > 0, so every intermediate
+_integer_terms), and inside the pair loop, the S-polynomials, Mora's weak
+normal form and the full division every coefficient is an int: a reduction
+step is fraction-free, h <- a*h - b*z^s*g with a > 0, so every intermediate
 polynomial is a positive multiple of its exact rational counterpart.  The
 content is divided out after a step that scales (a > 1), which touches
 every term anyway, and once when a reduction ends, so every polynomial a
@@ -139,13 +140,13 @@ T = TypeVar("T")
 class _OrderKeys(dict):
     """The order keys of the monomials one computation meets, each computed once.
 
-    ``_OrderKeys(order).__getitem__`` is the key function of one engine run;
+    ``_OrderKeys(key).__getitem__`` is the key function of one engine run;
     the dict lives only as long as the run.
     """
 
-    def __init__(self, order: MonomialOrder) -> None:
+    def __init__(self, key: KeyFn) -> None:
         super().__init__()
-        self.key = order.key
+        self.key = key
 
     def __missing__(self, mon: Monomial) -> tuple:
         k = self[mon] = self.key(mon)
@@ -172,8 +173,18 @@ class _Masks(dict):
 
 
 def _integer_terms(p: Polynomial) -> IntTerms:
-    """The terms of _primitive(p), as ints."""
-    return {mon: c.numerator for mon, c in _primitive(p).terms.items()}
+    """The terms of p times the positive rational that makes them coprime ints.
+
+    Scaling changes no reduction decision (reducers are chosen by leading
+    monomial alone), so the engines start from the primitive generators and
+    keep every intermediate polynomial primitive: integer arithmetic without
+    the denominator growth of repeated monic division.
+    """
+    num, den = 0, 1
+    for c in p.terms.values():
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    return {mon: c.numerator // num * (den // c.denominator) for mon, c in p.terms.items()}
 
 
 def _entry(terms: IntTerms, key: KeyFn) -> Entry:
@@ -220,12 +231,12 @@ def _cancel(f: IntTerms, lm_f: Monomial, g: IntTerms, lm_g: Monomial,
     return out, _step(out, lm, g, lm_g)
 
 
-def _content_free(terms: IntTerms) -> IntTerms:
-    """terms over the gcd of its coefficients."""
+def _content_free(terms: IntTerms) -> tuple[IntTerms, int]:
+    """terms over the gcd of its coefficients, and that gcd (1 for no terms)."""
     c = gcd(*terms.values())
     if c > 1:
-        return {mon: v // c for mon, v in terms.items()}
-    return terms
+        return {mon: v // c for mon, v in terms.items()}, c
+    return terms, 1
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -263,24 +274,23 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], key: KeyFn,
                     masks: _Masks) -> tuple[IntTerms, Fraction, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
-    The division steps a copy of p in place.  A step that scales (a > 1)
-    scales the terms already moved to the remainder too, and then divides
-    the content out of both; the remainder is made primitive once more at
+    The division steps a copy of p in place, where the terms no reducer
+    divides stay.  A step that scales (a > 1) scales them too, and then the
+    content is divided out; the remainder is made primitive once more at
     the end.  The monomials still to divide are kept sorted by order key,
     and a reducer's leading monomial is tested for division only when its
     mask passes (see _Masks).  Returns the primitive remainder, the positive
     s with remainder = s * (exact remainder of p), and the number of steps.
     """
     work = dict(p)
-    # The monomials of work in increasing order, next to stale entries whose
-    # monomial a step cancelled; each step adds the monomials it creates,
-    # all below the one it cancels at.
+    # The monomials of work still to divide in increasing order, next to
+    # stale entries whose monomial a step cancelled; each step adds the
+    # monomials it creates, all below the one it cancels at.
     mons = sorted(work, key=key)
     tests = [(masks[lm_g], lm_g, g) for lm_g, _, g in reducers]
-    remainder: IntTerms = {}
     scale = Fraction(1)
     steps = 0
-    while work:
+    while mons:
         lm = mons.pop()
         if lm not in work:
             continue
@@ -293,21 +303,11 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], key: KeyFn,
                 for mon in created:
                     insort(mons, mon, key=key)
                 if a != 1:
-                    remainder = {mon: a * c for mon, c in remainder.items()}
-                    scale *= a
-                    c = gcd(gcd(*work.values()), *remainder.values())
-                    if c > 1:
-                        work = {mon: v // c for mon, v in work.items()}
-                        remainder = {mon: v // c for mon, v in remainder.items()}
-                        scale /= c
+                    work, c = _content_free(work)
+                    scale *= Fraction(a, c)
                 break
-        else:
-            remainder[lm] = work.pop(lm)
-    c = gcd(*remainder.values())
-    if c > 1:
-        remainder = {mon: v // c for mon, v in remainder.items()}
-        scale /= c
-    return remainder, scale, steps
+    work, c = _content_free(work)
+    return work, scale / c, steps
 
 
 def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
@@ -329,27 +329,6 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     if h is terms:
         return p
     return Polynomial._unchecked(p.nvars, {mon: Fraction(c) for mon, c in h.items()})
-
-
-def _primitive(p: Polynomial) -> Polynomial:
-    """Rescale by a positive rational so the coefficients are coprime integers.
-
-    Scaling changes no reduction decision (reducers are chosen by leading
-    monomial alone), so the engines start from the primitive generators and
-    keep every intermediate polynomial primitive: integer arithmetic without
-    the denominator growth of repeated monic division.
-    """
-    if not p.terms:
-        return p
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = gcd(num, c.numerator)
-        den = lcm(den, c.denominator)
-    scale = Fraction(den, num)
-    if scale == 1:
-        return p
-    return Polynomial._unchecked(p.nvars, {mon: c * scale for mon, c in p.terms.items()})
 
 
 def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entry],
@@ -425,15 +404,15 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
         if cut is not None:
             h = _truncated(h, cut)
         elif a != 1:
-            h = _content_free(h)
+            h, _ = _content_free(h)
         for mon in created:
             insort(mons, mon, lo, key=key)
-    return _content_free(h) if owned else h
+    return _content_free(h)[0] if owned else h
 
 
 def _truncated(terms: IntTerms, corner: int) -> IntTerms:
     """The terms of degree at most ``corner``, over their content."""
-    return _content_free({mon: c for mon, c in terms.items() if sum(mon) <= corner})
+    return _content_free({mon: c for mon, c in terms.items() if sum(mon) <= corner})[0]
 
 
 def _no_corner(fresh: bool) -> None:
@@ -488,8 +467,8 @@ def _update_pairs(lms: Sequence[Monomial], live: list[int],
     live.append(t)
 
 
-def _pair_loop(generators: Sequence[IntTerms], key: KeyFn, reduce: Reduce,
-               truncate: bool) -> Generator[None, None, list[Entry]]:
+def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
+               reduce: Reduce) -> Generator[None, None, list[Entry]]:
     """Buchberger's pair loop with Gebauer and Moeller's pruning, under any order.
 
     The generators are primitive integer terms.  ``reduce(p, reducers,
@@ -499,15 +478,16 @@ def _pair_loop(generators: Sequence[IntTerms], key: KeyFn, reduce: Reduce,
     ``reduce`` does, and returns the entries of the elements that still take
     part in reduction; their leading monomials generate the leading ideal.
 
-    With ``truncate`` (a local degree order) the loop cuts at the highest
-    corner.  Once the live leading monomials contain every monomial of some
-    degree N, so does the leading ideal, and then m^N lies in the ideal of
-    the local ring (Greuel and Pfister, A Singular Introduction to
-    Commutative Algebra, section 1.7): the terms of degree above N can be
-    dropped from any element without changing the ideal or any leading
-    monomial (dropping those of degree N too would delete leading monomials
-    of degree N).  The corner N is one more than the top degree of a
-    standard monomial of the live leading ideal.  Terms of degree above it
+    Under a local degree order the loop cuts at the highest corner, once
+    ``reduce`` asks for one (only Mora's weak normal form does).  Once the
+    live leading monomials contain every monomial of some degree N, so does
+    the leading ideal, and then m^N lies in the ideal of the local ring
+    (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
+    section 1.7): the terms of degree above N can be dropped from any
+    element without changing the ideal or any leading monomial (dropping
+    those of degree N too would delete leading monomials of degree N).  The
+    corner N is one more than the top degree of a standard monomial of the
+    live leading ideal.  Terms of degree above it
     are dropped from live elements, S-polynomials and remainders, and pairs
     whose lcm lies above it are not reduced at all.  A corner found earlier
     stays valid, if less tight, as leading monomials enter, and walking the
@@ -554,7 +534,7 @@ def _pair_loop(generators: Sequence[IntTerms], key: KeyFn, reduce: Reduce,
         elements.append(_entry(h, key))
         lms.append(elements[-1][0])
         _update_pairs(lms, live, pending, queue, key)
-        stale = truncate
+        stale = True
 
     for g in generators:
         if g:
@@ -573,7 +553,7 @@ def _pair_loop(generators: Sequence[IntTerms], key: KeyFn, reduce: Reduce,
         if (ec_i or ec_j) and corner is not None and degree + max(ec_i, ec_j) > corner:
             s = _truncated(s, highest_corner(True))
         else:
-            s = _content_free(s)
+            s, _ = _content_free(s)
         h = yield from reduce(s, [elements[k] for k in live], highest_corner)
         if h:
             insert(h)
@@ -613,10 +593,10 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     order = gens.order
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
-    key = _OrderKeys(order).__getitem__
+    key = _OrderKeys(order.key).__getitem__
     masks = _Masks()
     generators = [_integer_terms(g) for g in gens.generators]
-    live = _finish(_pair_loop(generators, key, partial(_full_reduce, key, masks, [inf]), False))
+    live = _finish(_pair_loop(generators, key, partial(_full_reduce, key, masks, [inf])))
     minimal = _minimalize(live, key)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
@@ -636,6 +616,16 @@ def _homogenize(p: Polynomial) -> Polynomial:
     )
 
 
+def _lift_key(local: KeyFn) -> KeyFn:
+    """The lift's order key on monomials with a trailing homogenizing variable t.
+
+    Total degree, then the exponent of t, then the ``local`` key past its
+    leading (negative degree) entry: it sorts the terms of a homogeneous
+    polynomial exactly as ``local`` sorts their dehomogenizations.
+    """
+    return lambda mon: (sum(mon), mon[-1], *local(mon[:-1])[1:])
+
+
 def _local_basis(order: MonomialOrder, key: KeyFn, entries: Sequence[tuple]) -> ReducedBasis:
     """The monic minimal standard basis of (leading monomial, ..., terms) tuples."""
     minimal = _minimalize(entries, key)
@@ -646,20 +636,20 @@ def _local_basis(order: MonomialOrder, key: KeyFn, entries: Sequence[tuple]) -> 
 def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
     """Minimal standard basis via a Groebner basis of the homogenized generators.
 
-    Under the ``homogenized`` order the leading term of a homogeneous
-    polynomial dehomogenizes to its local leading term, and any relation
-    g = sum p_i f_i homogenizes to t^a g^h = sum t^(a_i) p_i^h f_i^h; so the
-    dehomogenized Groebner basis elements lie in the original ideal and their
-    leading monomials generate its full local leading ideal (Greuel and
-    Pfister, A Singular Introduction to Commutative Algebra, section 1.7).
-    The global pair loop is a run that spends ``clock``; its elements are
-    dehomogenized and minimalized as they are, so, as with direct Mora, the
-    tails are not reduced.
+    Under _lift_key of the local order of ``gens`` the leading term of a
+    homogeneous polynomial dehomogenizes to its local leading term, and any
+    relation g = sum p_i f_i homogenizes to t^a g^h = sum t^(a_i) p_i^h f_i^h;
+    so the dehomogenized Groebner basis elements lie in the original ideal
+    and their leading monomials generate its full local leading ideal
+    (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
+    section 1.7).  The global pair loop is a run that spends ``clock``; its
+    elements are dehomogenized and minimalized as they are, so, as with
+    direct Mora, the tails are not reduced.
     """
-    key = _OrderKeys(MonomialOrder("homogenized", gens.order.nvars + 1)).__getitem__
+    key = _OrderKeys(_lift_key(gens.order.key)).__getitem__
     reduce = partial(_full_reduce, key, _Masks(), clock)
     live = yield from _pair_loop(
-        [_integer_terms(_homogenize(g)) for g in gens.generators], key, reduce, False
+        [_integer_terms(_homogenize(g)) for g in gens.generators], key, reduce
     )
     # Setting the trailing variable to one: homogeneous terms never collide.
     local = [(lm[:-1], {mon[:-1]: c for mon, c in g.items()}) for lm, _, g in live]
@@ -673,11 +663,9 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
 
 def _direct_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
     """Direct Mora with the highest-corner cut, as a run that spends ``clock``."""
-    key = _OrderKeys(gens.order).__getitem__
+    key = _OrderKeys(gens.order.key).__getitem__
     reduce = partial(_mora_weak_nf, key, clock)
-    live = yield from _pair_loop(
-        [_integer_terms(g) for g in gens.generators], key, reduce, True
-    )
+    live = yield from _pair_loop([_integer_terms(g) for g in gens.generators], key, reduce)
     return _local_basis(gens.order, key, live)
 
 

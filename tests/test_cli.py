@@ -187,11 +187,12 @@ def test_input_error_exit_codes(tmp_path, capsys):
 
 
 def test_bezout_and_power_limits(tmp_path, capsys):
-    # A form or deformation whose Bezout number (the product of its
-    # component degrees) is above 100,000 is refused by problem_from_dict
-    # with an Input error, and a multi-term power that may have more than
-    # 1,000 terms by the parser with a Parse error: exit 2 under verify as
-    # under index, before the quotient or the power is computed.
+    # A problem in more than 32 variables, or a form or deformation whose
+    # Bezout number (the product of its component degrees) is above 100,000,
+    # is refused by problem_from_dict with an Input error, and a multi-term
+    # power or a product that may have more than 1,000 terms by the parser
+    # with a Parse error: exit 2 under verify as under index, before the
+    # form, the quotient, the power or the product is computed.
     def problem(form, deformation=None):
         spec = {"group": {"order": 1}, "weights": [0] * len(form), "form": form}
         if deformation is not None:
@@ -201,6 +202,11 @@ def test_bezout_and_power_limits(tmp_path, capsys):
     assert problem_from_dict(problem(["z1^400", "z2^250"])).form.components[0].total_degree() == 400
     problem_from_dict(problem(["z1^2", "z2^2"], ["z1^400 + z1", "z2^250"]))
     problem_from_dict(problem(["(z1 + z2)^999", "z2"]))
+    # At the limits: 25 * 40 terms, and 32 variables.
+    for form in (["(z1 + z2)^24*(z1 + z3)^39", "z2", "z3"], [f"z{i}" for i in range(1, 33)]):
+        edge = write_json(tmp_path, problem(form), "edge.json")
+        for argv in (("index",), ("verify", "--suite", "coincidence", "--cases", "0")):
+            assert run(capsys, *argv, "--input", edge)[0] == 0
     cases = [
         (problem(["z1^400", "z2^251"]), "Input", "form has Bezout number 100400"),
         (problem(["z1^2000", "z2^2000"]), "Input", "form has Bezout number 4000000"),
@@ -208,6 +214,8 @@ def test_bezout_and_power_limits(tmp_path, capsys):
         (problem(["z1^2", "z2^2"], ["z1^400", "z2^251"]), "Input", "deformation has Bezout"),
         (problem(["(z1 + z2)^1000", "z2"]), "Parse", "more than 1000 terms"),
         (problem(["(z1 + z2 + z3)^200", "z2", "z3"]), "Parse", "more than 1000 terms"),
+        (problem(["(z1 + z2)^24*(z1 + z3)^40", "z2", "z3"]), "Parse", "product may have more"),
+        (problem([f"z{i}" for i in range(1, 34)]), "Input", "33 variables, above the limit of 32"),
     ]
     for spec, error, detail in cases:
         tracemalloc.start()

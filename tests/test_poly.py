@@ -19,8 +19,9 @@ from eqidx.poly import (
     monomial_weight,
     parse_polynomial,
 )
+from eqidx.standard_basis import _lift_key
 
-ALL_KINDS = ("degrevlex", "deglex", "negdegrevlex", "negdeglex", "homogenized")
+ALL_KINDS = ("degrevlex", "deglex", "negdegrevlex", "negdeglex")
 
 
 def random_polynomial(rng, nvars, max_degree=4, max_terms=5):
@@ -145,11 +146,12 @@ def test_monomial_weight():
 def test_order_validation_and_locality():
     assert MonomialOrder.global_order(2).kind == "degrevlex"
     assert MonomialOrder.local_order(2).is_local
-    assert not MonomialOrder("homogenized", 3).is_local
     with pytest.raises(ValueError):
         MonomialOrder("lex", 2)
+    # The homogenizing lift's order is built from a local order inside the
+    # basis engine (standard_basis._lift_key); it is not a kind of its own.
     with pytest.raises(ValueError):
-        MonomialOrder("homogenized", 0)
+        MonomialOrder("homogenized", 3)
     with pytest.raises(ValueError):
         MonomialOrder("degrevlex", -1)
 
@@ -181,18 +183,30 @@ def test_degrevlex_classic_tie():
 
 
 def test_homogenized_order_mirrors_local_order():
-    # on homogeneous monomials, comparing with the trailing variable as the
-    # degree slack reproduces the local order on the dehomogenizations
-    local = MonomialOrder("negdegrevlex", 2)
-    lifted = MonomialOrder("homogenized", 3)
+    # The lift's key, built from each local order: on homogeneous monomials,
+    # comparing with the trailing variable as the degree slack reproduces
+    # the local order on the dehomogenizations; on all monomials it is a
+    # total, multiplicative order with the constant monomial smallest.
+    # Three variables, where the two local kinds differ.
     rng = random.Random(41)
-    degree = 6
-    for _ in range(80):
-        a = tuple(rng.randint(0, 3) for _ in range(2))
-        b = tuple(rng.randint(0, 3) for _ in range(2))
-        ah = a + (degree - sum(a),)
-        bh = b + (degree - sum(b),)
-        assert local.greater(a, b) == lifted.greater(ah, bh)
+    degree = 9
+    for kind in ("negdegrevlex", "negdeglex"):
+        local = MonomialOrder(kind, 3)
+        key = _lift_key(local.key)
+        one = (0, 0, 0, 0)
+        for _ in range(80):
+            a = tuple(rng.randint(0, 3) for _ in range(3))
+            b = tuple(rng.randint(0, 3) for _ in range(3))
+            ah = a + (degree - sum(a),)
+            bh = b + (degree - sum(b),)
+            assert local.greater(a, b) == (key(ah) > key(bh))
+        for _ in range(80):
+            a, b, t = (tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(3))
+            assert (key(a) > key(b)) + (key(b) > key(a)) + (a == b) == 1
+            if key(a) > key(b):
+                assert key(mon_mul(a, t)) > key(mon_mul(b, t))
+            if a != one:
+                assert key(a) > key(one)
 
 
 def test_parser_examples():
@@ -269,14 +283,20 @@ def test_parser_power_term_limit():
     # A power of a base of t > 1 terms to the e-th may have C(e + t - 1, t - 1)
     # terms; above 1,000 it is refused at its exponent before it is
     # expanded, however large the exponent.  One-term powers are bounded by
-    # their coefficient alone.
+    # their coefficient alone.  A product is refused at the factor that
+    # takes the product of the term counts above 1,000, before multiplying.
     assert len(parse_polynomial("(z1 + z2)^999", 2).terms) == 1000
     assert len(parse_polynomial("(z1 + z2 + z3)^43", 3).terms) == 990
     # 44 terms squared: at most C(45, 2) = 990 terms (87 here).
     assert len(parse_polynomial("(" + " + ".join(f"z1^{k}" for k in range(44)) + ")^2", 3).terms) == 87
     assert parse_polynomial("(z1 + z2)^0", 2) == parse_polynomial("1", 2)
     assert parse_polynomial("z1^1000000", 1).total_degree() == 1_000_000
+    assert len(parse_polynomial("(z1 + z2)^24*(z1 + z3)^39", 3).terms) == 1000
+    assert len(parse_polynomial("2*z1*(z1 + z2)^24*z3*(z1 + z3)^39*3", 3).terms) == 1000
     for text, position in [
+        ("(z1 + z2)^24*(z1 + z3)^40", 13),
+        ("(1+z1)^60*(1+z2)^60*(1+z3)^60", 10),
+        ("z1 - 2*(z1 + z2)^999*(z1 + z2)", 21),
         ("(z1 + z2)^1000", 10),
         ("z1 + (z1 + z2 + z3)^44", 20),
         ("(1 + z1)^" + "9" * 4300, 9),

@@ -24,9 +24,10 @@ from eqidx.rep_rings import CyclicGroup
 from eqidx.standard_basis import (
     GeneratorSet,
     ReducedBasis,
+    _finish,
     _homogenize,
     _homogenized_local,
-    _primitive,
+    _integer_terms,
     buchberger_global,
     global_normal_form,
     mora_local,
@@ -519,10 +520,11 @@ def test_standard_basis_minimality_and_order():
 
 def test_truncate_primitive_homogenize_helpers():
     q = P("2/3*z1^2 - 4*z2", 2)
-    prim = _primitive(q)
-    assert prim == P("z1^2 - 6*z2", 2)
-    assert _primitive(prim) == prim
-    assert _primitive(Polynomial.zero(2)).is_zero()
+    prim = _integer_terms(q)
+    assert prim == {(2, 0): 1, (0, 1): -6}
+    assert all(type(c) is int for c in prim.values())
+    assert _integer_terms(P("z1^2 - 6*z2", 2)) == prim
+    assert _integer_terms(Polynomial.zero(2)) == {}
     h = _homogenize(P("z1^2 + z2 + 1", 2))
     assert h.terms.keys() == {(2, 0, 0), (0, 1, 1), (0, 0, 2)}
     # Setting the trailing variable to one, as the lift does, undoes it.
@@ -571,24 +573,48 @@ def test_scaling_generators_leaves_basis_unchanged(monkeypatch):
     assert lifts == []
 
 
+def _recorded_leading_monomials_hold(basis):
+    """Whether every element's recorded leading monomial is its own under the basis order."""
+    return basis.leading_monomials() == tuple(
+        g.leading_monomial(basis.order) for g in basis.elements
+    )
+
+
 def test_all_local_engines_agree(monkeypatch):
-    # mora_local returns the lift's basis only when the lift finishes
-    # first; count those, so that this stays a comparison of two routes.
+    # Under both local orders, mora_local, the lift and the direct run
+    # alone find one leading ideal, each recording its elements' own leading
+    # monomials, and its dimension is the truncation oracle's.  mora_local
+    # returns the lift's basis only when the lift finishes first; count
+    # those, so that mora_local stays the direct route here.
     lifts = _counted_lifts(monkeypatch)
     rng = random.Random(977)
-    done = 0
-    while done < 15:
+    for _ in range(15):
         form, _action = random_case(rng, max_order=4, max_vars=3, max_degree=5)
-        n = form.nvars
-        gens = GeneratorSet(tuple(form.components), MonomialOrder.local_order(n))
-        straight = mora_local(gens)
-        lifted = _homogenized_local(gens)
-        assert set(straight.leading_monomials()) == set(lifted.leading_monomials())
         oracle = local_quotient_dimension(list(form.components))
-        assert quotient_basis(straight).dimension == oracle
-        assert quotient_basis(lifted).dimension == oracle
-        done += 1
+        for kind in ("negdegrevlex", "negdeglex"):
+            gens = GeneratorSet(tuple(form.components), MonomialOrder(kind, form.nvars))
+            direct = _finish(standard_basis._direct_run(gens, [inf]))
+            bases = (mora_local(gens), _homogenized_local(gens), direct)
+            assert len({frozenset(b.leading_monomials()) for b in bases}) == 1
+            for basis in bases:
+                assert _recorded_leading_monomials_hold(basis)
+                assert quotient_basis(basis).dimension == oracle
     assert lifts == []
+
+
+def test_lift_under_negdeglex():
+    # random_case at seed 339 under negdeglex: a lift that sorted by
+    # negdegrevlex would win this race and record leading monomials that are
+    # not its elements'.  Every basis must record its elements' leading
+    # monomials under negdeglex, so that the dimension read from the
+    # recorded monomials is the one recomputed from the elements.
+    form, _action = random_case(random.Random(339))
+    order = MonomialOrder("negdeglex", form.nvars)
+    gens = GeneratorSet(tuple(form.components), order)
+    for basis in (mora_local(gens), _homogenized_local(gens)):
+        assert _recorded_leading_monomials_hold(basis)
+        assert quotient_basis(basis).dimension == 99
+        assert quotient_basis(ReducedBasis(basis.elements, order, "local")).dimension == 99
 
 
 def test_unit_tail_generator_collapses():
@@ -827,7 +853,6 @@ def test_public_helpers_are_pinned():
         "s global": s_polynomial(f, g, glob),
         "s global swapped": s_polynomial(g, f, glob),
         "s local": s_polynomial(u, v, loc),
-        "primitive": _primitive(P("-2/3*z1^2 + 4/9*z2 - 8", 2)),
         "mora": mora_normal_form(P("1/3*z1^3 - 2*z1^4*z2 + z1^2*z2^2 + z2^5", 2), local_basis, loc),
         "mora to zero": mora_normal_form(
             P("z1^2*z2 - 3/2*z2^4", 2), [P("-2/3*z1^2 + z2^3", 2)], loc
@@ -846,7 +871,6 @@ def test_public_helpers_are_pinned():
         "s global": "-15/2*z2^4 + 4/3*z1^2 - 8/15*z1 + 3/14*z2",
         "s global swapped": "15/2*z2^4 - 4/3*z1^2 + 8/15*z1 - 3/14*z2",
         "s local": "-7/12*z1^2*z2^2 + 8/15*z2^4 - 7/8*z1^3",
-        "primitive": "-3*z1^2 + 2*z2 - 36",
         "mora": "-4*z1^4*z2 + 2*z2^5 + 2*z1^2*z2^2 + z2^4",
         "mora to zero": "0",
         "global": "-2/15*z1*z2 - 63/50*z1 - 2/25",
@@ -856,6 +880,8 @@ def test_public_helpers_are_pinned():
     # Where no reduction step runs, the input comes back as it is.
     for p in (P("-3/2*z1 + z2^2", 2), P("1/3*z1*z2", 2), Polynomial.zero(2)):
         assert mora_normal_form(p, local_basis, loc) is p
-    primitive = P("-z1 + 2*z2", 2)
-    assert _primitive(primitive) is primitive
+    # Generators enter the engines as coprime integer terms.
+    assert _integer_terms(P("-2/3*z1^2 + 4/9*z2 - 8", 2)) == {(2, 0): -3, (0, 1): 2, (0, 0): -36}
+    assert _integer_terms(P("-z1 + 2*z2", 2)) == {(1, 0): -1, (0, 1): 2}
+    assert _integer_terms(Polynomial.zero(2)) == {}
     assert global_normal_form(P("-1/2*z1 + 3", 2), global_basis, glob) == P("-1/2*z1 + 3", 2)
