@@ -8,12 +8,12 @@ largest; the basis engine builds its homogenizing lift's order from the
 local one), the weight of a monomial under a diagonal action, and the parser
 and printer for the textual input grammar.
 
-Every sum of terms goes through one in-place kernel, ``_add_multiple``
-(terms += q * z^shift * other, on plain monomial-to-coefficient dicts): with
-Fraction coefficients it serves polynomial addition, subtraction,
-multiplication (``_product``), powers (``_power``) and substitution here, and
-the parser, whose values are term dicts; with int coefficients it serves the
-fraction-free S-polynomials and reduction steps of the basis engines.
+Every sum of terms here goes through one in-place kernel, ``_add_multiple``
+(terms += q * z^shift * other, on plain monomial-to-coefficient dicts): it
+serves polynomial addition, subtraction, multiplication (``_product``),
+powers (``_power``) and substitution, and the parser, whose values are term
+dicts of int and Fraction coefficients.  The basis engines step their own
+integer terms on packed monomials (see ``standard_basis._Layout``).
 """
 
 from __future__ import annotations
@@ -61,20 +61,16 @@ def monomial_weight(mon: Monomial, weights: Sequence[int], modulus: int) -> int:
 
 
 def _add_multiple(terms: dict, q: int | Fraction, shift: Monomial,
-                  other: Mapping[Monomial, int | Fraction],
-                  created: list | None = None) -> None:
+                  other: Mapping[Monomial, int | Fraction]) -> None:
     """terms += q * z^shift * other, in place, dropping the terms that cancel.
 
     ``terms`` and ``other`` map monomials to int or Fraction coefficients.
-    The monomials new to ``terms`` are appended to ``created``, if given.
     """
     for mon, c in other.items():
         mon = tuple(map(add, mon, shift))
         s = terms.get(mon)
         if s is None:
             terms[mon] = q * c
-            if created is not None:
-                created.append(mon)
         elif s := s + q * c:
             terms[mon] = s
         else:

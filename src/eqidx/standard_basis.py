@@ -27,47 +27,39 @@ of a reduction and resume there (the lift pauses between divisions).
 Quotient extraction walks the staircase of a zero-dimensional leading ideal
 to its standard monomials.
 
-Coefficients are Fractions only at the Polynomial boundary.  Generators
-enter as primitive integer term dicts (coprime integer coefficients, see
-_integer_terms), and inside the pair loop, the S-polynomials, Mora's weak
-normal form and the full division every coefficient is an int: a reduction
-step is fraction-free, h <- a*h - b*z^s*g with a > 0, so every intermediate
+Fractions and exponent tuples appear only at the Polynomial boundary.
+Generators enter as primitive integer term dicts (coprime integer
+coefficients, see _integer_terms) whose monomials are packed into single
+ints (see _Layout), and inside the pair loop, the S-polynomials, Mora's weak
+normal form and the full division every coefficient and every monomial is
+an int: an order key is one XOR, a divisibility test one subtraction and
+one AND, a product of monomials one addition.  A reduction step is
+fraction-free, h <- a*h - b*z^s*g with a > 0, so every intermediate
 polynomial is a positive multiple of its exact rational counterpart.  The
 content is divided out after a step that scales (a > 1), which touches
 every term anyway, and once when a reduction ends, so every polynomial a
 reduction returns is primitive.  Results leave as monic Polynomials; the
-public helpers (s_polynomial, the normal forms) return exact Fractions.
-Order keys are computed once per monomial in a dict owned by one engine
-run, and so are divisor masks.  A reduction step costs about its reducer's
-terms, not the whole remainder's: each reduction owns its remainder and
-steps it in place, keeps its monomials sorted by order key, and full
-division pretests every reducer with its divisor mask.
+public helpers (s_polynomial, the normal forms) return exact Fractions.  A
+reduction step costs about its reducer's terms, not the whole remainder's:
+each reduction owns its remainder, steps it in place and keeps its
+monomials sorted by order key.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 from math import gcd, inf, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
+from struct import Struct
 from typing import Callable, Generator, Sequence, TypeVar
 
-from .errors import NonZeroDimensionalError
-from .poly import (
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    _add_multiple,
-    mon_degree,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-    mon_mul,
-)
+from .errors import InputError, NonZeroDimensionalError
+from .poly import Monomial, MonomialOrder, Polynomial, mon_degree
 
 
 @dataclass(frozen=True)
@@ -119,14 +111,79 @@ class QuotientBasis:
         return len(self.monomials)
 
 
-# Inside the engines a polynomial is a dict of integer terms, kept
-# primitive: coprime coefficients, a positive multiple of the polynomial it
-# stands for.  A basis element travels as an entry: its leading monomial,
-# its ecart (total degree minus the degree of the leading monomial) and its
-# terms, the first two computed once.
-IntTerms = dict[Monomial, int]
-Entry = tuple[Monomial, int, IntTerms]
-KeyFn = Callable[[Monomial], tuple]
+# The bits of one exponent field of a packed monomial (see _Layout), and the
+# least total degree a packed monomial cannot hold.
+_FIELD = 32
+_ONES = (1 << _FIELD) - 1
+_MAX_DEGREE = 1 << _FIELD - 1
+
+
+class _Layout:
+    """Monomials of one order kind in nvars variables packed into single ints.
+
+    A monomial is its total degree above one 32-bit field per variable, 31
+    exponent bits under a zero guard bit (Bachmann and Schoenemann,
+    Monomial representations for Groebner bases computations, ISSAC 1998).
+    The fields run in the order's precedence: z_n most significant for the
+    revlex kinds, z_1 for the lex kinds, the lift's exponent t above them.
+    XOR with one constant, ``key``, makes an int that compares as the
+    order's tuple key does: it inverts each z field under a revlex kind and
+    the degree under a local kind (the lift's order is total degree, then t,
+    then the local order past its degree).  Multiplying monomials adds their
+    ints, and a divides b when b - a borrows into no guard bit: ``not (b -
+    a) & guard``.  Every degree stays below _MAX_DEGREE, so every exponent
+    fits its field and every lcm's degree is below 2^32 - 1: _bounded checks
+    it where generators are packed, and before the only steps that raise a
+    degree, a Mora step by a reducer of positive ecart (deg lm(h) + ecart)
+    and an S-polynomial (deg lcm + ecart).
+    """
+
+    def __init__(self, kind: str, nvars: int, lift: bool = False) -> None:
+        lex = kind.endswith("deglex")
+        shifts = tuple(_FIELD * (nvars - 1 - i if lex else i) for i in range(nvars))
+        shifts += (_FIELD * nvars,) * lift
+        self.nvars = nvars
+        self.shift = shift = _FIELD * len(shifts)  # of the degree
+        self.guard = sum(1 << s + _FIELD - 1 for s in shifts)
+        self._fields = (1 << shift) - 1
+        key = 0 if lex else (1 << _FIELD * nvars) - 1
+        if kind.startswith("neg") and not lift:
+            key |= _ONES << shift
+        self.key: Callable[[int], int] = key.__xor__
+        # An exponent adds to its field and to the degree.
+        weights = tuple((1 << s) + (1 << shift) for s in shifts)
+        self.pack = lambda mon: sum(map(mul, mon, weights))
+        # unpack reads the z fields as bytes (dropping t): from the bottom
+        # under a revlex kind, past the degree and t under a lex kind.
+        fmt, byteorder, skip = (">", "big", 4 + 4 * lift) if lex else ("<", "little", 0)
+        fields, width = Struct(fmt + "I" * nvars).unpack_from, 4 * len(shifts) + 4
+        self.unpack = lambda mon: fields(mon.to_bytes(width, byteorder), skip)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials: each field's larger exponent, and their sum."""
+        x, y = a & self._fields, b & self._fields
+        ge = ((y | self.guard) - x) & self.guard  # the guard bits of the fields where b >= a
+        take = ge - (ge >> _FIELD - 1)  # and the exponent bits below them
+        f = y & take | x & ~take
+        return f | f % _ONES << self.shift  # the sum of the fields, as 2^32 = 1 mod 2^32 - 1
+
+
+_layout = cache(_Layout)  # one per order kind, number of variables and lift flag
+
+
+def _bounded(degree: int) -> None:
+    """Refuse a total degree that a packed monomial cannot hold."""
+    if degree >= _MAX_DEGREE:
+        raise InputError(f"a monomial of degree {_MAX_DEGREE} or more is beyond the engines")
+
+
+# Inside the engines a polynomial is a dict of integer terms on packed
+# monomials, kept primitive: coprime coefficients, a positive multiple of
+# the polynomial it stands for.  A basis element travels as an entry: its
+# leading monomial, its ecart (total degree minus the degree of the leading
+# monomial) and its terms, the first two computed once.
+IntTerms = dict[int, int]
+Entry = tuple[int, int, IntTerms]
 # An engine run is a generator that pauses (yields) when its clock, a
 # one-element list holding the reduction steps it may still take, is spent;
 # whoever resumes it first adds steps.  A run on an endless clock, [inf],
@@ -137,43 +194,8 @@ Reduce = Callable[[IntTerms, Sequence[Entry], Corner], Generator[None, None, Int
 T = TypeVar("T")
 
 
-class _OrderKeys(dict):
-    """The order keys of the monomials one computation meets, each computed once.
-
-    ``_OrderKeys(key).__getitem__`` is the key function of one engine run;
-    the dict lives only as long as the run.
-    """
-
-    def __init__(self, key: KeyFn) -> None:
-        super().__init__()
-        self.key = key
-
-    def __missing__(self, mon: Monomial) -> tuple:
-        k = self[mon] = self.key(mon)
-        return k
-
-
-class _Masks(dict):
-    """The divisor masks of the monomials one computation meets, each computed once.
-
-    Five bits per variable say whether its exponent is at least 1, 2, 4, 8
-    and 16.  If a divides b, every bit of the mask of a is set in the mask
-    of b; so a reducer whose mask has a bit outside the mask of a monomial
-    cannot divide it, and that test is one AND.  Like _OrderKeys, the dict
-    lives only as long as one engine run.
-    """
-
-    def __missing__(self, mon: Monomial) -> int:
-        mask = 0
-        for e in mon:
-            bits = (1 << e.bit_length()) - 1  # one bit for each of 1, 2, 4, ... up to e
-            mask = mask << 5 | bits & 31
-        self[mon] = mask
-        return mask
-
-
-def _integer_terms(p: Polynomial) -> IntTerms:
-    """The terms of p times the positive rational that makes them coprime ints.
+def _integer_terms(p: Polynomial, layout: _Layout) -> IntTerms:
+    """The terms of p times the positive rational that makes them coprime ints, packed.
 
     Scaling changes no reduction decision (reducers are chosen by leading
     monomial alone), so the engines start from the primitive generators and
@@ -184,29 +206,35 @@ def _integer_terms(p: Polynomial) -> IntTerms:
     for c in p.terms.values():
         num = gcd(num, c.numerator)
         den = lcm(den, c.denominator)
-    return {mon: c.numerator // num * (den // c.denominator) for mon, c in p.terms.items()}
+    pack = layout.pack
+    terms = {pack(mon): c.numerator // num * (den // c.denominator) for mon, c in p.terms.items()}
+    _bounded(max(terms, default=0) >> layout.shift)
+    return terms
 
 
-def _entry(terms: IntTerms, key: KeyFn) -> Entry:
+def _entry(terms: IntTerms, layout: _Layout) -> Entry:
     """The entry of a nonzero polynomial: (leading monomial, ecart, terms)."""
-    lm = max(terms, key=key)
-    return lm, max(map(sum, terms)) - sum(lm), terms
+    lm = max(terms, key=layout.key)
+    return lm, (max(terms) >> layout.shift) - (lm >> layout.shift), terms
 
 
-def _monic(nvars: int, terms: IntTerms, lm: Monomial) -> Polynomial:
-    """The monic Polynomial of integer terms whose leading monomial is lm."""
-    lc = terms[lm]
-    return Polynomial._unchecked(nvars, {mon: Fraction(c, lc) for mon, c in terms.items()})
+def _polynomial(layout: _Layout, terms: IntTerms, unit: int | Fraction) -> Polynomial:
+    """The Polynomial of integer terms divided by ``unit``, its monomials unpacked."""
+    unpack = layout.unpack
+    if unit in (1, -1):  # Fraction's one-argument form is the quicker
+        out = {unpack(mon): Fraction(c * unit) for mon, c in terms.items()}
+    else:
+        out = {unpack(mon): Fraction(c, unit) for mon, c in terms.items()}
+    return Polynomial._unchecked(layout.nvars, out)
 
 
-def _step(h: IntTerms, lm_h: Monomial, g: IntTerms, lm_g: Monomial,
-          created: list | None = None) -> int:
+def _step(h: IntTerms, lm_h: int, g: IntTerms, lm_g: int, created: list) -> int:
     """The fraction-free step h <- a*h - b*z^(lm_h/lm_g)*g, in place, cancelling at lm_h.
 
     (a, b) are the leading coefficients of g and h over their gcd, signed so
     that a > 0; returns a.  h is scaled only when a is not 1, so a step
     otherwise costs the terms of g.  The monomials the step adds to those of
-    h are appended to ``created``, if given.
+    h are appended to ``created``.
     """
     lc_h, lc_g = h[lm_h], g[lm_g]
     d = gcd(lc_h, lc_g)
@@ -216,19 +244,27 @@ def _step(h: IntTerms, lm_h: Monomial, g: IntTerms, lm_g: Monomial,
     if a != 1:
         for mon, c in h.items():
             h[mon] = a * c
-    _add_multiple(h, -b, mon_div(lm_h, lm_g), g, created)
+    shift = lm_h - lm_g
+    for mon, c in g.items():
+        mon += shift
+        if (s := h.get(mon)) is None:
+            h[mon] = -b * c
+            created.append(mon)
+        elif s := s - b * c:
+            h[mon] = s
+        else:
+            del h[mon]
     return a
 
 
-def _cancel(f: IntTerms, lm_f: Monomial, g: IntTerms, lm_g: Monomial,
-            lm: Monomial) -> tuple[IntTerms, int]:
+def _cancel(f: IntTerms, lm_f: int, g: IntTerms, lm_g: int, lm: int) -> tuple[IntTerms, int]:
     """The S-polynomial a*z^(lm/lm_f)*f - b*z^(lm/lm_g)*g of f and g, lm their lcm.
 
     Returns fresh terms and the a > 0 of the step (see _step).
     """
-    out: IntTerms = {}
-    _add_multiple(out, 1, mon_div(lm, lm_f), f)
-    return out, _step(out, lm, g, lm_g)
+    shift = lm - lm_f
+    out = {mon + shift: c for mon, c in f.items()}
+    return out, _step(out, lm, g, lm_g, [])
 
 
 def _content_free(terms: IntTerms) -> tuple[IntTerms, int]:
@@ -241,12 +277,13 @@ def _content_free(terms: IntTerms) -> tuple[IntTerms, int]:
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """The S-polynomial, cancelling the leading terms of f and g."""
-    fi, gi = _integer_terms(f), _integer_terms(g)
-    lm_f, lm_g = f.leading_monomial(order), g.leading_monomial(order)
-    s, a = _cancel(fi, lm_f, gi, lm_g, mon_lcm(lm_f, lm_g))
+    layout = _layout(order.kind, order.nvars)
+    (lm_f, ec_f, fi), (lm_g, ec_g, gi) = (_entry(_integer_terms(p, layout), layout) for p in (f, g))
+    lm = layout.lcm(lm_f, lm_g)
+    _bounded((lm >> layout.shift) + max(ec_f, ec_g))
+    s, a = _cancel(fi, lm_f, gi, lm_g, lm)
     # s = a * lc(fi) * S(fi, gi), and S(fi, gi) = S(f, g).
-    unit = a * fi[lm_f]
-    return Polynomial._unchecked(f.nvars, {mon: Fraction(c, unit) for mon, c in s.items()})
+    return _polynomial(layout, s, a * fi[lm_f])
 
 
 def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
@@ -258,47 +295,45 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     """
     if order.is_local:
         raise ValueError("global normal form requires a global order")
-    terms = _integer_terms(p)
-    reducers = [_entry(_integer_terms(g), order.key) for g in basis if g.terms]
-    remainder, scale, _ = _full_remainder(terms, reducers, order.key, _Masks())
+    layout = _layout(order.kind, order.nvars)
+    terms = _integer_terms(p, layout)
+    reducers = [_entry(_integer_terms(g, layout), layout) for g in basis if g.terms]
+    remainder, scale, _ = _full_remainder(terms, reducers, layout)
     if not remainder:
         return Polynomial._unchecked(p.nvars, {})
     # remainder = scale * (exact remainder of terms), and terms is a
-    # positive multiple of p.
-    first = next(iter(terms))
-    unit = scale * terms[first] / p.terms[first]
-    return Polynomial._unchecked(p.nvars, {mon: c / unit for mon, c in remainder.items()})
+    # positive multiple of p (its terms in the same order).
+    unit = scale * next(iter(terms.values())) / next(iter(p.terms.values()))
+    return _polynomial(layout, remainder, unit)
 
 
-def _full_remainder(p: IntTerms, reducers: Sequence[Entry], key: KeyFn,
-                    masks: _Masks) -> tuple[IntTerms, Fraction, int]:
+def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
+                    layout: _Layout) -> tuple[IntTerms, Fraction, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
     The division steps a copy of p in place, where the terms no reducer
     divides stay.  A step that scales (a > 1) scales them too, and then the
     content is divided out; the remainder is made primitive once more at
-    the end.  The monomials still to divide are kept sorted by order key,
-    and a reducer's leading monomial is tested for division only when its
-    mask passes (see _Masks).  Returns the primitive remainder, the positive
-    s with remainder = s * (exact remainder of p), and the number of steps.
+    the end.  The monomials still to divide are kept sorted by order key.
+    Returns the primitive remainder, the positive s with remainder = s *
+    (exact remainder of p), and the number of steps.
     """
+    key, guard = layout.key, layout.guard
     work = dict(p)
     # The monomials of work still to divide in increasing order, next to
     # stale entries whose monomial a step cancelled; each step adds the
     # monomials it creates, all below the one it cancels at.
     mons = sorted(work, key=key)
-    tests = [(masks[lm_g], lm_g, g) for lm_g, _, g in reducers]
     scale = Fraction(1)
     steps = 0
     while mons:
         lm = mons.pop()
         if lm not in work:
             continue
-        outside = ~masks[lm]
-        for mask_g, lm_g, g in tests:
-            if not mask_g & outside and mon_divides(lm_g, lm):
+        for lm_g, _, g in reducers:
+            if not (lm - lm_g) & guard:
                 steps += 1
-                created: list[Monomial] = []
+                created: list[int] = []
                 a = _step(work, lm, g, lm_g, created)
                 for mon in created:
                     insort(mons, mon, key=key)
@@ -323,15 +358,14 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     """
     if not order.is_local:
         raise ValueError("Mora normal form requires a local order")
-    terms = _integer_terms(p)
-    reducers = [_entry(_integer_terms(g), order.key) for g in basis if g.terms]
-    h = _finish(_mora_weak_nf(order.key, [inf], terms, reducers, _no_corner))
-    if h is terms:
-        return p
-    return Polynomial._unchecked(p.nvars, {mon: Fraction(c) for mon, c in h.items()})
+    layout = _layout(order.kind, order.nvars)
+    terms = _integer_terms(p, layout)
+    reducers = [_entry(_integer_terms(g, layout), layout) for g in basis if g.terms]
+    h = _finish(_mora_weak_nf(layout, [inf], terms, reducers, _no_corner))
+    return p if h is terms else _polynomial(layout, h, 1)
 
 
-def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entry],
+def _mora_weak_nf(layout: _Layout, clock: Clock, h: IntTerms, reducers: Sequence[Entry],
                   corner: Corner) -> Generator[None, None, IntTerms]:
     """Mora's weak normal form of primitive h by basis entries, fraction-free.
 
@@ -348,6 +382,7 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
     terminates without them, and a step that could reach past it drops the
     terms of degree above a fresh corner.
     """
+    key, guard, shift = layout.key, layout.guard, layout.shift
     # The reducer pool, sorted by (ecart, order key of lm, insertion index):
     # the first entry whose leading monomial divides lm(h) is the reducer of
     # least ecart, then least leading monomial, then oldest.  A recruited
@@ -370,7 +405,7 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
             mons.pop()
         lm_h = mons[-1]
         for ec_g, _, _, lm_g, g in pool:
-            if mon_divides(lm_g, lm_h):
+            if not (lm_h - lm_g) & guard:
                 break
         else:
             break
@@ -382,10 +417,12 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
         # zero has no term of degree above lm(h); so only a reducer of
         # positive ecart can raise the ecart of h or reach past the corner.
         if ec_g:
+            degree = lm_h >> shift
+            _bounded(degree + ec_g)
             if top is None:
                 while mons[lo] not in h:
                     lo += 1
-                ec_h = sum(mons[lo]) - sum(lm_h)
+                ec_h = (mons[lo] >> shift) - degree
                 if ec_g > ec_h and (top := corner(True)) is None:
                     # Recruiting h itself keeps later reductions from raising
                     # the ecart without bound; this is what makes Mora
@@ -394,15 +431,15 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
                     insort(pool, (ec_h, key(lm_h), counter, lm_h, h))
                     counter += 1
                     owned = False
-            if top is not None and sum(lm_h) + ec_g > top:
+            if top is not None and degree + ec_g > top:
                 cut = top = corner(True)
         if not owned:
             h = dict(h)
             owned = True
-        created: list[Monomial] = []
+        created: list[int] = []
         a = _step(h, lm_h, g, lm_g, created)
         if cut is not None:
-            h = _truncated(h, cut)
+            h = _truncated(h, cut, shift)
         elif a != 1:
             h, _ = _content_free(h)
         for mon in created:
@@ -410,9 +447,10 @@ def _mora_weak_nf(key: KeyFn, clock: Clock, h: IntTerms, reducers: Sequence[Entr
     return _content_free(h)[0] if owned else h
 
 
-def _truncated(terms: IntTerms, corner: int) -> IntTerms:
-    """The terms of degree at most ``corner``, over their content."""
-    return _content_free({mon: c for mon, c in terms.items() if sum(mon) <= corner})[0]
+def _truncated(terms: IntTerms, corner: int, shift: int) -> IntTerms:
+    """The terms of degree at most ``corner``, over their content; ``shift`` places the degree."""
+    above = corner + 1 << shift
+    return _content_free({mon: c for mon, c in terms.items() if mon < above})[0]
 
 
 def _no_corner(fresh: bool) -> None:
@@ -430,9 +468,8 @@ def _finish(run: Generator[None, None, T]) -> T:
     return next(_results(run))
 
 
-def _update_pairs(lms: Sequence[Monomial], live: list[int],
-                  pending: dict[tuple[int, int], Monomial], queue: list,
-                  key: KeyFn) -> None:
+def _update_pairs(lms: Sequence[int], live: list[int], pending: dict[tuple[int, int], int],
+                  queue: list, layout: _Layout) -> None:
     """Gebauer and Moeller's update for the newest basis element.
 
     An old pair is dropped when the new leading monomial m divides its lcm
@@ -444,30 +481,31 @@ def _update_pairs(lms: Sequence[Monomial], live: list[int],
     in new pairs and in reduction.  Kept pairs are queued lowest lcm degree
     first, then by order key, then by age.
     """
+    guard, lcm_of = layout.guard, layout.lcm
     t = len(lms) - 1
     m = lms[t]
     for pair, lcm in list(pending.items()):
         i, j = pair
-        if mon_divides(m, lcm) and mon_lcm(lms[i], m) != lcm and mon_lcm(lms[j], m) != lcm:
+        if not (lcm - m) & guard and lcm_of(lms[i], m) != lcm and lcm_of(lms[j], m) != lcm:
             del pending[pair]
-    fresh = [(i, mon_lcm(lms[i], m)) for i in live]
-    kept: list[tuple[int, Monomial, bool]] = []
+    fresh = [(i, lcm_of(lms[i], m)) for i in live]
+    kept: list[tuple[int, int, bool]] = []
     for pos, (i, lcm) in enumerate(fresh):
-        coprime = mon_mul(lms[i], m) == lcm
+        coprime = lms[i] + m == lcm
         if coprime or not (
-            any(mon_divides(other, lcm) for _, other in fresh[pos + 1 :])
-            or any(mon_divides(other, lcm) for _, other, _ in kept)
+            any(not (lcm - other) & guard for _, other in fresh[pos + 1 :])
+            or any(not (lcm - other) & guard for _, other, _ in kept)
         ):
             kept.append((i, lcm, coprime))
     for i, lcm, coprime in kept:
         if not coprime:
             pending[(i, t)] = lcm
-            heappush(queue, (mon_degree(lcm), key(lcm), i, t))
-    live[:] = [i for i in live if not mon_divides(m, lms[i])]
+            heappush(queue, (lcm >> layout.shift, layout.key(lcm), i, t))
+    live[:] = [i for i in live if (lms[i] - m) & guard]
     live.append(t)
 
 
-def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
+def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
                reduce: Reduce) -> Generator[None, None, list[Entry]]:
     """Buchberger's pair loop with Gebauer and Moeller's pruning, under any order.
 
@@ -498,10 +536,11 @@ def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
     a weak normal form would recruit (before any corner is known): only then
     does a tighter corner save work.
     """
+    shift = layout.shift
     elements: list[Entry] = []
-    lms: list[Monomial] = []
+    lms: list[int] = []
     live: list[int] = []
-    pending: dict[tuple[int, int], Monomial] = {}
+    pending: dict[tuple[int, int], int] = {}
     queue: list = []
     corner: int | None = None
     stale = False  # a leading monomial entered since the corner was last sought
@@ -510,30 +549,30 @@ def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
         nonlocal corner, stale
         if fresh and stale:
             stale = False
-            n = len(lms[0])
-            leading = [lms[k] for k in live]
+            n = layout.nvars
+            leading = [layout.unpack(lms[k]) for k in live]
             if _missing_power(leading, n) is not None:
                 return None
             corner = 1 + max(map(sum, _standard_monomials(leading, n)), default=-1)
             kept = []
             for k in live:
                 lm, ec, g = elements[k]
-                if sum(lm) + ec > corner:
+                if (lm >> shift) + ec > corner:
                     # A leading monomial above the corner (a redundant
                     # generator's) leaves no terms: its element is zero.
-                    g = _truncated(g, corner)
+                    g = _truncated(g, corner, shift)
                     if not g:
                         continue
-                    elements[k] = (lm, max(map(sum, g)) - sum(lm), g)
+                    elements[k] = (lm, (max(g) >> shift) - (lm >> shift), g)
                 kept.append(k)
             live[:] = kept
         return corner
 
     def insert(h: IntTerms) -> None:
         nonlocal stale
-        elements.append(_entry(h, key))
+        elements.append(_entry(h, layout))
         lms.append(elements[-1][0])
-        _update_pairs(lms, live, pending, queue, key)
+        _update_pairs(lms, live, pending, queue, layout)
         stale = True
 
     for g in generators:
@@ -549,9 +588,10 @@ def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
         if lcm is None:
             continue
         (lm_i, ec_i, f), (lm_j, ec_j, g) = elements[i], elements[j]
+        _bounded(degree + max(ec_i, ec_j))
         s, _ = _cancel(f, lm_i, g, lm_j, lcm)
         if (ec_i or ec_j) and corner is not None and degree + max(ec_i, ec_j) > corner:
-            s = _truncated(s, highest_corner(True))
+            s = _truncated(s, highest_corner(True), shift)
         else:
             s, _ = _content_free(s)
         h = yield from reduce(s, [elements[k] for k in live], highest_corner)
@@ -560,28 +600,31 @@ def _pair_loop(generators: Sequence[IntTerms], key: KeyFn,
     return [elements[k] for k in live]
 
 
-def _minimalize(entries: Sequence[tuple], key: KeyFn) -> list[tuple]:
+def _minimalize(entries: Sequence[tuple], layout: _Layout) -> list[tuple]:
     """Drop the elements whose leading monomial another's divides.
 
     Takes and returns tuples whose first item is the leading monomial, the
     result sorted by decreasing leading monomial.
     """
+    key, guard = layout.key, layout.guard
+    # Lowest degree first, then by order key: the key with the degree kept.
+    by_degree = key(0) & (1 << layout.shift) - 1
     kept: list[tuple] = []
-    for e in sorted(entries, key=lambda e: (mon_degree(e[0]), key(e[0]))):
-        if not any(mon_divides(k[0], e[0]) for k in kept):
+    for e in sorted(entries, key=lambda e: e[0] ^ by_degree):
+        if all((e[0] - k[0]) & guard for k in kept):
             kept.append(e)
     kept.sort(key=lambda e: key(e[0]), reverse=True)
     return kept
 
 
-def _full_reduce(key: KeyFn, masks: _Masks, clock: Clock, p: IntTerms,
-                 reducers: Sequence[Entry], corner: Corner) -> Generator[None, None, IntTerms]:
+def _full_reduce(layout: _Layout, clock: Clock, p: IntTerms, reducers: Sequence[Entry],
+                 corner: Corner) -> Generator[None, None, IntTerms]:
     """Full division for the pair loop under a global order (which has no corner).
 
     A generator: the division's steps are spent from ``clock`` as a whole,
     after it, and the loop pauses while the clock is overspent.
     """
-    remainder, _, steps = _full_remainder(p, reducers, key, masks)
+    remainder, _, steps = _full_remainder(p, reducers, layout)
     clock[0] -= steps
     while clock[0] <= 0:
         yield
@@ -593,18 +636,18 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     order = gens.order
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
-    key = _OrderKeys(order.key).__getitem__
-    masks = _Masks()
-    generators = [_integer_terms(g) for g in gens.generators]
-    live = _finish(_pair_loop(generators, key, partial(_full_reduce, key, masks, [inf])))
-    minimal = _minimalize(live, key)
+    layout = _layout(order.kind, order.nvars)
+    generators = [_integer_terms(g, layout) for g in gens.generators]
+    live = _finish(_pair_loop(generators, layout, partial(_full_reduce, layout, [inf])))
+    minimal = _minimalize(live, layout)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
-    reduced = [
-        _monic(order.nvars, _full_remainder(g, minimal[:i] + minimal[i + 1 :], key, masks)[0], lm)
-        for i, (lm, _, g) in enumerate(minimal)
-    ]
-    return ReducedBasis(tuple(reduced), order, "global", tuple(map(itemgetter(0), minimal)))
+    reduced = []
+    for i, (lm, _, g) in enumerate(minimal):
+        r = _full_remainder(g, minimal[:i] + minimal[i + 1 :], layout)[0]
+        reduced.append(_polynomial(layout, r, r[lm]))
+    leading = tuple([layout.unpack(e[0]) for e in minimal])
+    return ReducedBasis(tuple(reduced), order, "global", leading)
 
 
 def _homogenize(p: Polynomial) -> Polynomial:
@@ -616,28 +659,19 @@ def _homogenize(p: Polynomial) -> Polynomial:
     )
 
 
-def _lift_key(local: KeyFn) -> KeyFn:
-    """The lift's order key on monomials with a trailing homogenizing variable t.
-
-    Total degree, then the exponent of t, then the ``local`` key past its
-    leading (negative degree) entry: it sorts the terms of a homogeneous
-    polynomial exactly as ``local`` sorts their dehomogenizations.
-    """
-    return lambda mon: (sum(mon), mon[-1], *local(mon[:-1])[1:])
-
-
-def _local_basis(order: MonomialOrder, key: KeyFn, entries: Sequence[tuple]) -> ReducedBasis:
+def _local_basis(order: MonomialOrder, layout: _Layout, entries: Sequence[tuple]) -> ReducedBasis:
     """The monic minimal standard basis of (leading monomial, ..., terms) tuples."""
-    minimal = _minimalize(entries, key)
-    elements = tuple(_monic(order.nvars, e[-1], e[0]) for e in minimal)
-    return ReducedBasis(elements, order, "local", tuple(map(itemgetter(0), minimal)))
+    minimal = _minimalize(entries, layout)
+    elements = tuple([_polynomial(layout, e[-1], e[-1][e[0]]) for e in minimal])
+    return ReducedBasis(elements, order, "local", tuple([layout.unpack(e[0]) for e in minimal]))
 
 
 def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
     """Minimal standard basis via a Groebner basis of the homogenized generators.
 
-    Under _lift_key of the local order of ``gens`` the leading term of a
-    homogeneous polynomial dehomogenizes to its local leading term, and any
+    Under the lift's order (see _Layout: total degree, then the exponent of
+    t, then the local order of ``gens`` past its degree) the leading term of
+    a homogeneous polynomial dehomogenizes to its local leading term, and any
     relation g = sum p_i f_i homogenizes to t^a g^h = sum t^(a_i) p_i^h f_i^h;
     so the dehomogenized Groebner basis elements lie in the original ideal
     and their leading monomials generate its full local leading ideal
@@ -646,14 +680,22 @@ def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, Reduced
     elements are dehomogenized and minimalized as they are, so, as with
     direct Mora, the tails are not reduced.
     """
-    key = _OrderKeys(_lift_key(gens.order.key)).__getitem__
-    reduce = partial(_full_reduce, key, _Masks(), clock)
+    order = gens.order
+    lift = _layout(order.kind, order.nvars, True)
     live = yield from _pair_loop(
-        [_integer_terms(_homogenize(g)) for g in gens.generators], key, reduce
+        [_integer_terms(_homogenize(g), lift) for g in gens.generators],
+        lift,
+        partial(_full_reduce, lift, clock),
     )
-    # Setting the trailing variable to one: homogeneous terms never collide.
-    local = [(lm[:-1], {mon[:-1]: c for mon, c in g.items()}) for lm, _, g in live]
-    return _local_basis(gens.order, gens.order.key, local)
+    # Setting t to one, which homogeneous terms survive without colliding:
+    # the z fields stay, and t's field and the degree become z's degree.
+    shift = lift.shift - _FIELD  # of t
+
+    def local(mon: int) -> int:
+        return mon & (1 << shift) - 1 | (mon >> lift.shift) - (mon >> shift & _ONES) << shift
+
+    entries = [(local(lm), {local(mon): c for mon, c in g.items()}) for lm, _, g in live]
+    return _local_basis(order, _layout(order.kind, order.nvars), entries)
 
 
 def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
@@ -663,10 +705,10 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
 
 def _direct_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
     """Direct Mora with the highest-corner cut, as a run that spends ``clock``."""
-    key = _OrderKeys(gens.order.key).__getitem__
-    reduce = partial(_mora_weak_nf, key, clock)
-    live = yield from _pair_loop([_integer_terms(g) for g in gens.generators], key, reduce)
-    return _local_basis(gens.order, key, live)
+    layout = _layout(gens.order.kind, gens.order.nvars)
+    generators = [_integer_terms(g, layout) for g in gens.generators]
+    live = yield from _pair_loop(generators, layout, partial(_mora_weak_nf, layout, clock))
+    return _local_basis(gens.order, layout, live)
 
 
 # Reduction steps in the first turn of each run of the mora_local race;

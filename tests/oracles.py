@@ -203,25 +203,30 @@ def _from_sympy(poly: sympy.Poly, n: int, unit=1) -> Polynomial:
     return Polynomial(n, terms)
 
 
-def sympy_reduced_groebner(polys) -> set[Polynomial]:
-    """The reduced degrevlex Groebner basis via sympy, every element made monic."""
+def sympy_reduced_groebner(polys, order: str) -> set[Polynomial]:
+    """The reduced Groebner basis via sympy, every element made monic.
+
+    ``order`` is sympy's name of the order: ``grevlex`` (degrevlex) or
+    ``grlex`` (deglex, z1 > z2 > ...).
+    """
     n = polys[0].nvars
     symbols = sympy.symbols(f"z1:{n + 1}")
     exprs = [_to_sympy(p, symbols) for p in polys if p.terms]
-    basis = sympy.groebner(exprs, *symbols, order="grevlex")
-    return {_from_sympy(g, n, g.LC(order="grevlex")) for g in basis.polys}
+    basis = sympy.groebner(exprs, *symbols, order=order)
+    return {_from_sympy(g, n, g.LC(order=order)) for g in basis.polys}
 
 
-def sympy_normal_form(p: Polynomial, basis) -> Polynomial:
-    """The remainder of p on full division by ``basis`` via sympy, under degrevlex.
+def sympy_normal_form(p: Polynomial, basis, order: str) -> Polynomial:
+    """The remainder of p on full division by ``basis`` via sympy, under ``order``.
 
-    Against a Groebner basis the remainder does not depend on how the
-    division chooses its reducers, so it is canonical.
+    ``order`` is named as for sympy_reduced_groebner.  Against a Groebner
+    basis the remainder does not depend on how the division chooses its
+    reducers, so it is canonical.
     """
     n = p.nvars
     symbols = sympy.symbols(f"z1:{n + 1}")
     divisors = [_to_sympy(g, symbols) for g in basis if g.terms]
-    _, remainder = sympy.reduced(_to_sympy(p, symbols), divisors, *symbols, order="grevlex")
+    _, remainder = sympy.reduced(_to_sympy(p, symbols), divisors, *symbols, order=order)
     return _from_sympy(sympy.Poly(remainder, *symbols), n)
 
 

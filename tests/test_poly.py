@@ -19,7 +19,7 @@ from eqidx.poly import (
     monomial_weight,
     parse_polynomial,
 )
-from eqidx.standard_basis import _lift_key
+from eqidx.standard_basis import _layout
 
 ALL_KINDS = ("degrevlex", "deglex", "negdegrevlex", "negdeglex")
 
@@ -149,7 +149,7 @@ def test_order_validation_and_locality():
     with pytest.raises(ValueError):
         MonomialOrder("lex", 2)
     # The homogenizing lift's order is built from a local order inside the
-    # basis engine (standard_basis._lift_key); it is not a kind of its own.
+    # basis engine (standard_basis._Layout); it is not a kind of its own.
     with pytest.raises(ValueError):
         MonomialOrder("homogenized", 3)
     with pytest.raises(ValueError):
@@ -192,7 +192,8 @@ def test_homogenized_order_mirrors_local_order():
     degree = 9
     for kind in ("negdegrevlex", "negdeglex"):
         local = MonomialOrder(kind, 3)
-        key = _lift_key(local.key)
+        lift = _layout(kind, 3, True)
+        key = lambda mon: lift.key(lift.pack(mon))
         one = (0, 0, 0, 0)
         for _ in range(80):
             a = tuple(rng.randint(0, 3) for _ in range(3))

@@ -9,8 +9,15 @@ from math import gcd, inf
 import pytest
 
 from eqidx import standard_basis
-from eqidx.equiv_index import DiagonalAction, OneForm, equivariant_pullback, index_report
-from eqidx.errors import NonZeroDimensionalError
+from eqidx.equiv_index import (
+    DiagonalAction,
+    OneForm,
+    equivariant_pullback,
+    hom_index,
+    index_report,
+    radial_index,
+)
+from eqidx.errors import InputError, NonZeroDimensionalError
 from eqidx.generator import random_case, random_shear
 from eqidx.poly import (
     MonomialOrder,
@@ -49,6 +56,13 @@ from oracles import (
 
 def P(text, n):
     return parse_polynomial(text, n)
+
+
+def _tuple_terms(p):
+    """_integer_terms of p, its packed monomials read back as exponent tuples."""
+    layout = standard_basis._layout("degrevlex", p.nvars)
+    terms = _integer_terms(p, layout)
+    return dict(zip(map(layout.unpack, terms), terms.values()))
 
 
 def local_gens(texts, n):
@@ -137,11 +151,16 @@ def _random_polys(rng, n, count, max_exponent):
     return polys
 
 
+# The global order kinds with sympy's names for them.
+SYMPY_ORDERS = (("degrevlex", "grevlex"), ("deglex", "grlex"))
+
+
 def test_buchberger_against_sympy():
     # Every element, not only the leading monomials: the pair criteria may
     # drop only pairs that reduce to zero, and the reduced basis is unique.
     # Homogenized generators, as the lift builds them, give the many lcm
-    # ties that exercise the criteria hardest.
+    # ties that exercise the criteria hardest.  Both global orders, each
+    # with its own packed layout.
     rng = random.Random(71)
     cases = []
     for _ in range(12):
@@ -154,9 +173,10 @@ def test_buchberger_against_sympy():
     cases += [_deformed_pure_power_form(rng, rng.randint(2, 3)) for _ in range(8)]
     for polys in cases:
         n = polys[0].nvars
-        ours = buchberger_global(GeneratorSet(tuple(polys), MonomialOrder.global_order(n)))
-        assert len(set(ours.elements)) == len(ours.elements)
-        assert set(ours.elements) == sympy_reduced_groebner(polys)
+        for kind, name in SYMPY_ORDERS:
+            ours = buchberger_global(GeneratorSet(tuple(polys), MonomialOrder(kind, n)))
+            assert len(set(ours.elements)) == len(ours.elements)
+            assert set(ours.elements) == sympy_reduced_groebner(polys, name)
 
 
 def test_global_normal_form_is_canonical():
@@ -185,6 +205,7 @@ def test_global_normal_form_against_sympy():
     # already emitted.  Plain generators (fewer than the variables, so the
     # ideal is not the whole ring), homogenized ones as the lift builds them,
     # and zero-dimensional deformations as a conservation check reduces.
+    # Each dividend is also reduced under deglex, against the deglex basis.
     rng = random.Random(557)
     cases = []
     for _ in range(6):
@@ -199,12 +220,15 @@ def test_global_normal_form_against_sympy():
         n = gens[0].nvars
         order = MonomialOrder.global_order(n)
         basis = buchberger_global(GeneratorSet(tuple(gens), order)).elements
+        lex = MonomialOrder("deglex", n)
+        lex_basis = buchberger_global(GeneratorSet(tuple(gens), lex)).elements
         for _ in range(3):
             factor, rest = _random_polys(rng, n, 2, 4)
             p = rng.choice(gens) * factor + rest * rest
             ours = global_normal_form(p, basis, order)
-            assert ours == sympy_normal_form(p, basis)
+            assert ours == sympy_normal_form(p, basis, "grevlex")
             nonzero += not ours.is_zero()
+            assert global_normal_form(p, lex_basis, lex) == sympy_normal_form(p, lex_basis, "grlex")
     # 39 of the 48 remainders are nonzero.
     assert nonzero == 39
 
@@ -279,13 +303,17 @@ def test_full_remainder_is_primitive_against_fraction_oracle(monkeypatch):
         cases.append((_even_remainder_dividend(rng, n, basis[0], order), basis, order))
     contents = []
     for p, basis, order in cases:
-        terms = standard_basis._integer_terms(p)
-        reducers = [standard_basis._entry(standard_basis._integer_terms(g), order.key) for g in basis]
-        remainder, scale, steps = standard_basis._full_remainder(
-            terms, reducers, order.key, standard_basis._Masks()
-        )
+        layout = standard_basis._layout(order.kind, order.nvars)
+        terms = standard_basis._integer_terms(p, layout)
+        reducers = [
+            standard_basis._entry(standard_basis._integer_terms(g, layout), layout) for g in basis
+        ]
+        remainder, scale, steps = standard_basis._full_remainder(terms, reducers, layout)
+        remainder = dict(zip(map(layout.unpack, remainder), remainder.values()))
         exact, exact_steps = fraction_full_remainder(
-            Polynomial(p.nvars, {mon: Fraction(c) for mon, c in terms.items()}), basis, order
+            Polynomial(p.nvars, {layout.unpack(mon): Fraction(c) for mon, c in terms.items()}),
+            basis,
+            order,
         )
         assert steps == exact_steps
         assert remainder == {mon: scale * c for mon, c in exact.terms.items()}
@@ -322,10 +350,13 @@ def test_weak_normal_form_result_is_primitive():
             first = min(basis, key=lambda g: order.key(g.leading_monomial(order)))
             p = _even_remainder_dividend(rng, n, first, order)
             corner = standard_basis._no_corner
-        terms = standard_basis._integer_terms(p)
-        reducers = [standard_basis._entry(standard_basis._integer_terms(g), order.key) for g in basis]
+        layout = standard_basis._layout(order.kind, order.nvars)
+        terms = standard_basis._integer_terms(p, layout)
+        reducers = [
+            standard_basis._entry(standard_basis._integer_terms(g, layout), layout) for g in basis
+        ]
         h = standard_basis._finish(
-            standard_basis._mora_weak_nf(order.key, [inf], terms, reducers, corner)
+            standard_basis._mora_weak_nf(layout, [inf], terms, reducers, corner)
         )
         assert not h or _content(h) == 1
         stepped += h is not terms
@@ -520,11 +551,11 @@ def test_standard_basis_minimality_and_order():
 
 def test_truncate_primitive_homogenize_helpers():
     q = P("2/3*z1^2 - 4*z2", 2)
-    prim = _integer_terms(q)
+    prim = _tuple_terms(q)
     assert prim == {(2, 0): 1, (0, 1): -6}
     assert all(type(c) is int for c in prim.values())
-    assert _integer_terms(P("z1^2 - 6*z2", 2)) == prim
-    assert _integer_terms(Polynomial.zero(2)) == {}
+    assert _tuple_terms(P("z1^2 - 6*z2", 2)) == prim
+    assert _tuple_terms(Polynomial.zero(2)) == {}
     h = _homogenize(P("z1^2 + z2 + 1", 2))
     assert h.terms.keys() == {(2, 0, 0), (0, 1, 1), (0, 0, 2)}
     # Setting the trailing variable to one, as the lift does, undoes it.
@@ -881,7 +912,129 @@ def test_public_helpers_are_pinned():
     for p in (P("-3/2*z1 + z2^2", 2), P("1/3*z1*z2", 2), Polynomial.zero(2)):
         assert mora_normal_form(p, local_basis, loc) is p
     # Generators enter the engines as coprime integer terms.
-    assert _integer_terms(P("-2/3*z1^2 + 4/9*z2 - 8", 2)) == {(2, 0): -3, (0, 1): 2, (0, 0): -36}
-    assert _integer_terms(P("-z1 + 2*z2", 2)) == {(1, 0): -1, (0, 1): 2}
-    assert _integer_terms(Polynomial.zero(2)) == {}
+    assert _tuple_terms(P("-2/3*z1^2 + 4/9*z2 - 8", 2)) == {(2, 0): -3, (0, 1): 2, (0, 0): -36}
+    assert _tuple_terms(P("-z1 + 2*z2", 2)) == {(1, 0): -1, (0, 1): 2}
+    assert _tuple_terms(Polynomial.zero(2)) == {}
     assert global_normal_form(P("-1/2*z1 + 3", 2), global_basis, glob) == P("-1/2*z1 + 3", 2)
+
+
+def _tuple_lift_key(local):
+    """The lift's order on tuples (z, t): total degree, then t, then ``local`` past its degree."""
+    return lambda mon: (sum(mon), mon[-1], *local(mon[:-1])[1:])
+
+
+def test_packed_monomials_match_exponent_tuples():
+    # Every layout the engines pack with (the four order kinds and the lift
+    # of each local kind, in 1 to 4 variables) against the tuple
+    # definitions: the packed key orders as the tuple key does, the
+    # guard-bit test is mon_divides, lcm and degree agree, and unpack
+    # inverts pack (dropping the lift's t).  Exponents reach 0 and
+    # 2^31 - 1, the largest a field holds, at degrees below 2^31.
+    rng = random.Random(1907)
+    top = 2**31 - 1
+
+    def draw(width):
+        mon = [rng.choice((0, 0, 1, 2, rng.randint(3, 9))) for _ in range(width)]
+        if rng.random() < 0.3:
+            i = rng.randrange(width)
+            mon[i] = top - (sum(mon) - mon[i])
+        return tuple(mon)
+
+    layouts = []
+    for n in range(1, 5):
+        for kind in ("degrevlex", "deglex", "negdegrevlex", "negdeglex"):
+            order = MonomialOrder(kind, n)
+            layouts.append((standard_basis._layout(kind, n), order.key, n))
+            if order.is_local:
+                lift = standard_basis._layout(kind, n, True)
+                layouts.append((lift, _tuple_lift_key(order.key), n + 1))
+    for layout, key, width in layouts:
+        mons = [(0,) * width, (top,) + (0,) * (width - 1), (0,) * (width - 1) + (top,)]
+        mons += [draw(width) for _ in range(40)]
+        packed = [layout.pack(mon) for mon in mons]
+        for a, pa in zip(mons, packed):
+            assert pa >> layout.shift == sum(a)
+            assert layout.unpack(pa) == a[: layout.nvars]
+            for b, pb in zip(mons, packed):
+                assert (layout.key(pa) < layout.key(pb)) == (key(a) < key(b))
+                assert (not (pb - pa) & layout.guard) == mon_divides(a, b)
+                assert layout.lcm(pa, pb) == layout.pack(tuple(map(max, a, b)))
+
+
+def test_degrees_beyond_a_field_are_input_errors():
+    # One typed error, raised where generators are packed, before a Mora
+    # step that would reach degree 2^31, and before such an S-polynomial;
+    # a generator of degree 2^31 - 1 is accepted.
+    limit = 2**31
+    glob, loc = MonomialOrder.global_order(2), MonomialOrder.local_order(2)
+    over, under = P(f"z1^{limit}", 2), P(f"z1^{limit - 1}", 2)
+    halves = (f"z1^{limit // 2}*z2", f"z1*z2^{limit // 2}")
+    local_z2 = mora_local(GeneratorSet((P("z2", 2),), loc))
+    global_z2 = buchberger_global(GeneratorSet((P("z2", 2),), glob))
+    refusals = [
+        lambda: mora_local(GeneratorSet((over,), loc)),
+        lambda: buchberger_global(GeneratorSet((over, P("z2", 2)), glob)),
+        lambda: normal_form(over, local_z2),
+        lambda: normal_form(over, global_z2),
+        lambda: s_polynomial(over, P("z1", 2), glob),
+        # A Mora step by z1 + z1^2 (ecart 1) at z1^(2^31 - 1).
+        lambda: mora_normal_form(under, [P("z1 + z1^2", 2)], loc),
+        # lcm z1^(2^30)*z2^(2^30), from generators of degree 2^30 + 1.
+        lambda: buchberger_global(global_gens(halves, 2)),
+        lambda: mora_local(local_gens(halves, 2)),
+        lambda: s_polynomial(P(halves[0], 2), P(halves[1], 2), glob),
+    ]
+    for refuse in refusals:
+        with pytest.raises(InputError, match=f"degree {limit} or more"):
+            refuse()
+    assert mora_local(GeneratorSet((under,), loc)).leading_monomials() == ((limit - 1, 0),)
+    accepted = (under, P("z2", 2))
+    assert buchberger_global(GeneratorSet(accepted, glob)).elements == accepted
+    assert normal_form(under, local_z2) is under
+    assert normal_form(under, global_z2) == under
+    assert s_polynomial(under, P("z1", 2), glob).is_zero()
+
+
+def test_fuzz_local_routes_and_indices():
+    # Generated cases, seeds and sizes fixed in advance: the direct run
+    # alone, the lift alone and mora_local find one per-weight character,
+    # which is hom_index's, and the truncation oracle's local dimension;
+    # index_report agrees with hom_index and radial_index.  The direct run
+    # alone gets the race's first turn of steps, and the oracle runs where
+    # its bound (two above the top standard degree) is at most 12: on seed
+    # 11 (mu = 38, standard monomials up to degree 14) the oracle takes
+    # about 20 s, and direct Mora alone stalls after about 850 steps, each
+    # later step taking seconds, while mora_local's lift finishes in
+    # milliseconds.
+    unfinished, unchecked = [], []
+    for seed in range(24):
+        form, action = random_case(
+            random.Random(f"fuzz:{seed}"), max_order=4, max_vars=3, max_degree=5
+        )
+        gens = GeneratorSet(tuple(form.components), MonomialOrder.local_order(form.nvars))
+        hom = hom_index(form, action)
+        m, twist = action.group.order, action.volume_weight()
+        run = standard_basis._direct_run(gens, [standard_basis._FIRST_SLICE])
+        direct = next(standard_basis._results(run))
+        if direct is None:
+            unfinished.append(seed)
+        dimensions = set()
+        for basis in (direct, _homogenized_local(gens), mora_local(gens)):
+            if basis is None:
+                continue
+            monomials = quotient_basis(basis).monomials
+            dimensions.add(len(monomials))
+            character = [0] * m
+            for mon in monomials:
+                character[(action.weight_of(mon) + twist) % m] += 1
+            assert tuple(character) == hom.coefficients, seed
+        assert len(dimensions) == 1, seed
+        if 2 + max(map(sum, monomials)) <= 12:
+            assert dimensions == {local_quotient_dimension(list(form.components))}, seed
+        else:
+            unchecked.append(seed)
+        report = index_report(form, action)
+        assert report.hom == hom
+        assert report.radial == radial_index(form, action)
+        assert report.reduced_radial == hom
+    assert unfinished == unchecked == [11]
