@@ -11,14 +11,21 @@ recovers how many orbits of each isotropy type a generic equivariant
 perturbation sends near the origin.  Reducing the radial index to its
 permutation character lands in the character ring, where the two indices can
 be compared.
+
+Every quotient here is read off the leading monomials of a standard basis
+(Greuel and Pfister, A Singular Introduction to Commutative Algebra, section
+1.7): its dimension is the number of standard monomials and its character
+counts their weights.  The engines hand over leading monomials only, and the
+standard monomials stay runs of the staircase walk, counted without being
+listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -44,13 +51,7 @@ from .rep_rings import (
     integer_determinant,
     reduce_to_rep,
 )
-from .standard_basis import (
-    GeneratorSet,
-    QuotientBasis,
-    buchberger_global,
-    mora_local,
-    quotient_basis,
-)
+from .standard_basis import GeneratorSet, _global_leading, _local_leading, _quotient_runs
 
 
 @dataclass(frozen=True)
@@ -178,14 +179,23 @@ def _require_invariant(form: OneForm, action: DiagonalAction) -> None:
         raise NotInvariantError(violation)
 
 
-def _local_quotient(components: Sequence[Polynomial]) -> QuotientBasis:
+# A quotient as the runs (prefix, top) of its staircase, which stand for the
+# standard monomials prefix + (e,) with e < top (see
+# standard_basis._standard_runs).
+Runs = list[tuple[Monomial, int]]
+
+
+def _dimension(runs: Runs) -> int:
+    return sum(map(itemgetter(1), runs))
+
+
+def _local_quotient(components: Sequence[Polynomial]) -> Runs:
     n = components[0].nvars
-    order = MonomialOrder.local_order(n)
-    basis = mora_local(GeneratorSet(tuple(components), order))
-    return quotient_basis(basis)
+    gens = GeneratorSet(tuple(components), MonomialOrder.local_order(n))
+    return _quotient_runs(_local_leading(gens), n)
 
 
-def _origin_quotient(form: OneForm) -> QuotientBasis:
+def _origin_quotient(form: OneForm) -> Runs:
     """The local quotient at the origin of a form with an isolated zero there.
 
     Callers check the form's invariance first.
@@ -196,24 +206,34 @@ def _origin_quotient(form: OneForm) -> QuotientBasis:
         raise NonIsolatedError(f"the zero at the origin is not isolated: {e}") from e
 
 
-def _global_quotient(form: OneForm) -> QuotientBasis:
+def _global_quotient(form: OneForm) -> Runs:
     """The global quotient of a form whose affine zero set is finite."""
     gens = GeneratorSet(form.components, MonomialOrder.global_order(form.nvars))
     try:
-        return quotient_basis(buchberger_global(gens))
+        return _quotient_runs(_global_leading(gens), form.nvars)
     except NonZeroDimensionalError as e:
         raise GloballyNonZeroDimensionalError(
             f"the affine zero set is not finite: {e}"
         ) from e
 
 
-def _character_of_quotient(qb: QuotientBasis, action: DiagonalAction) -> RepRingElement:
+def _character_of_quotient(runs: Runs, action: DiagonalAction) -> RepRingElement:
+    """The twisted character of a quotient, counted run by run and residue by residue.
+
+    Along a run the weight steps by the last variable's weight k, so it
+    repeats with period m / gcd(k, m): the run's exponents e < top that
+    share a residue r mod the period all have one weight, and there are
+    ceil((top - r) / period) of them.
+    """
     m = action.group.order
     twist = action.volume_weight()
-    weights = action.weights
+    *weights, k = action.weights
+    period = m // gcd(k, m)
     coeffs = [0] * m
-    for mon in qb.monomials:
-        coeffs[(sum(map(mul, mon, weights)) + twist) % m] += 1
+    for prefix, top in runs:
+        w = sum(map(mul, prefix, weights)) + twist
+        for r in range(min(top, period)):
+            coeffs[(w + r * k) % m] += (top - r + period - 1) // period
     return RepRingElement(action.group, tuple(coeffs))
 
 
@@ -252,7 +272,7 @@ def _stratum_table(
         if keep not in dimensions:
             restricted = tuple(form.components[i].restrict_to(keep) for i in keep)
             try:
-                dimensions[keep] = _local_quotient(restricted).dimension
+                dimensions[keep] = _dimension(_local_quotient(restricted))
             except NonZeroDimensionalError as e:
                 raise RestrictedNonIsolatedError(
                     f"the restriction to the fixed subspace of the order {a} "
@@ -294,15 +314,15 @@ def index_report(form: OneForm, action: DiagonalAction) -> IndexReport:
     the origin on every fixed subspace.
     """
     _require_invariant(form, action)
-    qb = _origin_quotient(form)
+    quotient = _origin_quotient(form)
     if not form.vanishes_at_origin():
         raise NonIsolatedError("the origin is not a zero of the form")
-    strata = _stratum_table(form, action, qb.dimension)
+    strata = _stratum_table(form, action, _dimension(quotient))
     counts = _orbit_counts(strata, action.group.order)
     sign = (-1) ** form.nvars
     radial = BurnsideElement(action.group, {b: sign * c for b, c in counts.items()})
     return IndexReport(
-        hom=_character_of_quotient(qb, action),
+        hom=_character_of_quotient(quotient, action),
         radial=radial,
         reduced_radial=reduce_to_rep(radial),
         strata=strata,
@@ -494,17 +514,17 @@ def conservation_check(
     # Both forms are validated before any quotient is computed.
     _require_invariant(form, action)
     _require_invariant(deformed, action)
-    qb_local = _origin_quotient(form)
-    reference = _character_of_quotient(qb_local, action)
-    qb_global = _global_quotient(deformed)
-    if qb_global.dimension != qb_local.dimension:
+    local_runs = _origin_quotient(form)
+    reference = _character_of_quotient(local_runs, action)
+    global_runs = _global_quotient(deformed)
+    if _dimension(global_runs) != _dimension(local_runs):
         raise DimensionGuardFailedError(
-            f"global multiplicity {qb_global.dimension} of the deformation differs "
-            f"from the local multiplicity {qb_local.dimension} at the origin"
+            f"global multiplicity {_dimension(global_runs)} of the deformation differs "
+            f"from the local multiplicity {_dimension(local_runs)} at the origin"
         )
 
     if points is None:
-        total = _character_of_quotient(qb_global, action)
+        total = _character_of_quotient(global_runs, action)
         return ConservationReport(
             mode="global",
             reference=reference,

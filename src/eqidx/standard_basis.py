@@ -25,7 +25,16 @@ elements and makes them monic; neither reduces the tails.  The pair loop
 and both reductions are generators, so direct Mora can pause in the middle
 of a reduction and resume there (the lift pauses between divisions).
 Quotient extraction walks the staircase of a zero-dimensional leading ideal
-to its standard monomials.
+in runs, z^p * z_n^e for e below a top, which quotient_basis expands into
+its standard monomials.
+
+A quotient's dimension and weights depend on the leading ideal alone, so
+the index computations take leading monomials from private entry points
+that share these runs: _local_leading runs the race of mora_local and
+keeps only the winner's minimal leading monomials, and _global_leading runs
+the pair loop of buchberger_global with a division that stops at the first
+leading monomial no element divides, and interreduces nothing (the leading
+ideal under a global order is canonical).  Neither builds a Polynomial.
 
 Fractions and exponent tuples appear only at the Polynomial boundary.
 Generators enter as primitive integer term dicts (coprime integer
@@ -39,10 +48,11 @@ polynomial is a positive multiple of its exact rational counterpart.  The
 content is divided out after a step that scales (a > 1), which touches
 every term anyway, and once when a reduction ends, so every polynomial a
 reduction returns is primitive.  Results leave as monic Polynomials; the
-public helpers (s_polynomial, the normal forms) return exact Fractions.  A
-reduction step costs about its reducer's terms, not the whole remainder's:
-each reduction owns its remainder, steps it in place and keeps its
-monomials sorted by order key.
+public helpers (s_polynomial, the normal forms) return exact Fractions (full
+division tracks its scale as two ints, and global_normal_form alone makes
+it a Fraction).  A reduction step costs about its reducer's terms, not the
+whole remainder's: each reduction owns its remainder, steps it in place and
+keeps its monomials sorted by order key.
 """
 
 from __future__ import annotations
@@ -145,7 +155,7 @@ class _Layout:
         self.nvars = nvars
         self.shift = shift = _FIELD * len(shifts)  # of the degree
         self.guard = sum(1 << s + _FIELD - 1 for s in shifts)
-        self._fields = (1 << shift) - 1
+        self.fields = (1 << shift) - 1
         key = 0 if lex else (1 << _FIELD * nvars) - 1
         if kind.startswith("neg") and not lift:
             key |= _ONES << shift
@@ -161,7 +171,7 @@ class _Layout:
 
     def lcm(self, a: int, b: int) -> int:
         """The lcm of two packed monomials: each field's larger exponent, and their sum."""
-        x, y = a & self._fields, b & self._fields
+        x, y = a & self.fields, b & self.fields
         ge = ((y | self.guard) - x) & self.guard  # the guard bits of the fields where b >= a
         take = ge - (ge >> _FIELD - 1)  # and the exponent bits below them
         f = y & take | x & ~take
@@ -298,25 +308,27 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     layout = _layout(order.kind, order.nvars)
     terms = _integer_terms(p, layout)
     reducers = [_entry(_integer_terms(g, layout), layout) for g in basis if g.terms]
-    remainder, scale, _ = _full_remainder(terms, reducers, layout)
+    remainder, num, den, _ = _full_remainder(terms, reducers, layout)
     if not remainder:
         return Polynomial._unchecked(p.nvars, {})
-    # remainder = scale * (exact remainder of terms), and terms is a
+    # remainder = num/den * (exact remainder of terms), and terms is a
     # positive multiple of p (its terms in the same order).
-    unit = scale * next(iter(terms.values())) / next(iter(p.terms.values()))
+    unit = Fraction(num * next(iter(terms.values())), den) / next(iter(p.terms.values()))
     return _polynomial(layout, remainder, unit)
 
 
-def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
-                    layout: _Layout) -> tuple[IntTerms, Fraction, int]:
+def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
+                    top: bool = False) -> tuple[IntTerms, int, int, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
     The division steps a copy of p in place, where the terms no reducer
     divides stay.  A step that scales (a > 1) scales them too, and then the
     content is divided out; the remainder is made primitive once more at
     the end.  The monomials still to divide are kept sorted by order key.
-    Returns the primitive remainder, the positive s with remainder = s *
-    (exact remainder of p), and the number of steps.
+    With ``top`` the division stops at the first monomial no reducer
+    divides, which is then the leading monomial of the remainder.  Returns
+    the primitive remainder, the positive ints num and den with remainder =
+    num/den * (exact remainder of p), and the number of steps.
     """
     key, guard = layout.key, layout.guard
     work = dict(p)
@@ -324,7 +336,7 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
     # stale entries whose monomial a step cancelled; each step adds the
     # monomials it creates, all below the one it cancels at.
     mons = sorted(work, key=key)
-    scale = Fraction(1)
+    num = den = 1
     steps = 0
     while mons:
         lm = mons.pop()
@@ -339,10 +351,14 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry],
                     insort(mons, mon, key=key)
                 if a != 1:
                     work, c = _content_free(work)
-                    scale *= Fraction(a, c)
+                    num *= a
+                    den *= c
+                break
+        else:
+            if top:
                 break
     work, c = _content_free(work)
-    return work, scale / c, steps
+    return work, num, den * c, steps
 
 
 def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
@@ -477,30 +493,52 @@ def _update_pairs(lms: Sequence[int], live: list[int], pending: dict[tuple[int, 
     criterion).  A new pair is dropped when the lcm of another new pair
     divides its own; of several sharing one lcm only the last is kept, and
     that lcm is dropped altogether when one of its pairs has coprime leading
-    monomials.  Elements whose leading monomial m divides stop taking part
-    in new pairs and in reduction.  Kept pairs are queued lowest lcm degree
-    first, then by order key, then by age.
+    monomials.  So a new pair is kept exactly when its lcm is minimal among
+    the new lcms, it is the last pair with that lcm, and no pair with that
+    lcm is coprime: one pass over the distinct new lcms, lowest first (a
+    proper divisor has the lower degree, and the degree is the top of a
+    packed monomial), checks each against the minimal ones found before it.
+    Elements whose leading monomial m divides stop taking part in new pairs
+    and in reduction.  Kept pairs are queued lowest lcm degree first, then
+    by order key, then by age.
     """
-    guard, lcm_of = layout.guard, layout.lcm
+    guard, fields, shift = layout.guard, layout.fields, layout.shift
     t = len(lms) - 1
     m = lms[t]
     for pair, lcm in list(pending.items()):
-        i, j = pair
-        if not (lcm - m) & guard and lcm_of(lms[i], m) != lcm and lcm_of(lms[j], m) != lcm:
-            del pending[pair]
-    fresh = [(i, lcm_of(lms[i], m)) for i in live]
-    kept: list[tuple[int, int, bool]] = []
-    for pos, (i, lcm) in enumerate(fresh):
-        coprime = lms[i] + m == lcm
-        if coprime or not (
-            any(not (lcm - other) & guard for _, other in fresh[pos + 1 :])
-            or any(not (lcm - other) & guard for _, other, _ in kept)
-        ):
-            kept.append((i, lcm, coprime))
-    for i, lcm, coprime in kept:
-        if not coprime:
-            pending[(i, t)] = lcm
-            heappush(queue, (lcm >> layout.shift, layout.key(lcm), i, t))
+        if not (lcm - m) & guard:
+            i, j = pair
+            if layout.lcm(lms[i], m) != lcm and layout.lcm(lms[j], m) != lcm:
+                del pending[pair]
+    # The new pairs by lcm (see _Layout.lcm, here with m's fields fixed):
+    # the last live element with each lcm, and the lcms of coprime pairs.
+    y = m & fields
+    y_guarded = y | guard
+    last: dict[int, int] = {}
+    coprime = set()
+    for i in live:
+        a = lms[i]
+        x = a & fields
+        ge = (y_guarded - x) & guard
+        f = x ^ (x ^ y) & ge - (ge >> _FIELD - 1)
+        lcm = f | f % _ONES << shift
+        if a + m == lcm:
+            coprime.add(lcm)
+        last[lcm] = i
+    minimal: list[int] = []
+    kept = []
+    for lcm in sorted(last):
+        for low in minimal:
+            if not (lcm - low) & guard:
+                break
+        else:
+            minimal.append(lcm)
+            if lcm not in coprime:
+                kept.append((last[lcm], lcm))
+    kept.sort()  # pushed in the order of live, which fixes the heap's list
+    for i, lcm in kept:
+        pending[(i, t)] = lcm
+        heappush(queue, (lcm >> shift, layout.key(lcm), i, t))
     live[:] = [i for i in live if (lms[i] - m) & guard]
     live.append(t)
 
@@ -553,7 +591,8 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
             leading = [layout.unpack(lms[k]) for k in live]
             if _missing_power(leading, n) is not None:
                 return None
-            corner = 1 + max(map(sum, _standard_monomials(leading, n)), default=-1)
+            runs = _standard_runs(leading, n)
+            corner = max([sum(prefix) + top for prefix, top in runs], default=0)
             kept = []
             for k in live:
                 lm, ec, g = elements[k]
@@ -618,27 +657,41 @@ def _minimalize(entries: Sequence[tuple], layout: _Layout) -> list[tuple]:
 
 
 def _full_reduce(layout: _Layout, clock: Clock, p: IntTerms, reducers: Sequence[Entry],
-                 corner: Corner) -> Generator[None, None, IntTerms]:
+                 corner: Corner, top: bool = False) -> Generator[None, None, IntTerms]:
     """Full division for the pair loop under a global order (which has no corner).
 
     A generator: the division's steps are spent from ``clock`` as a whole,
-    after it, and the loop pauses while the clock is overspent.
+    after it, and the loop pauses while the clock is overspent.  With
+    ``top`` the division stops at the remainder's leading monomial (see
+    _full_remainder).
     """
-    remainder, _, steps = _full_remainder(p, reducers, layout)
+    remainder, _, _, steps = _full_remainder(p, reducers, layout, top)
     clock[0] -= steps
     while clock[0] <= 0:
         yield
     return remainder
 
 
-def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
-    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
+def _global_run(gens: GeneratorSet, top: bool) -> tuple[_Layout, list[Entry]]:
+    """The pair loop under the (global) order of ``gens``: its layout and live entries.
+
+    ``top`` selects the division (see _full_remainder): full division leaves
+    reduced remainders, division of the leading term alone leaves the same
+    leading monomials with unreduced tails, which is all a leading ideal
+    needs.
+    """
     order = gens.order
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
     layout = _layout(order.kind, order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
-    live = _finish(_pair_loop(generators, layout, partial(_full_reduce, layout, [inf])))
+    reduce = partial(_full_reduce, layout, [inf], top=top)
+    return layout, _finish(_pair_loop(generators, layout, reduce))
+
+
+def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
+    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
+    layout, live = _global_run(gens, False)
     minimal = _minimalize(live, layout)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
@@ -647,7 +700,17 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
         r = _full_remainder(g, minimal[:i] + minimal[i + 1 :], layout)[0]
         reduced.append(_polynomial(layout, r, r[lm]))
     leading = tuple([layout.unpack(e[0]) for e in minimal])
-    return ReducedBasis(tuple(reduced), order, "global", leading)
+    return ReducedBasis(tuple(reduced), gens.order, "global", leading)
+
+
+def _global_leading(gens: GeneratorSet) -> list[Monomial]:
+    """The minimal generators of the leading ideal that ``buchberger_global`` finds.
+
+    The leading ideal of an ideal under a global order is canonical, so the
+    pair loop may divide leading terms alone, and nothing is interreduced.
+    """
+    layout, live = _global_run(gens, True)
+    return _minimal_leading(gens.order, layout, live)
 
 
 def _homogenize(p: Polynomial) -> Polynomial:
@@ -666,7 +729,19 @@ def _local_basis(order: MonomialOrder, layout: _Layout, entries: Sequence[tuple]
     return ReducedBasis(elements, order, "local", tuple([layout.unpack(e[0]) for e in minimal]))
 
 
-def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
+def _minimal_leading(order: MonomialOrder, layout: _Layout,
+                     entries: Sequence[tuple]) -> list[Monomial]:
+    """The leading monomials of ``_local_basis``, without building its elements."""
+    return [layout.unpack(e[0]) for e in _minimalize(entries, layout)]
+
+
+# A run's exit (``leave``): what the run returns, made from the order, the
+# layout and the (leading monomial, ..., terms) tuples of its live elements.
+Exit = Callable[[MonomialOrder, _Layout, Sequence[tuple]], T]
+
+
+def _lift_run(gens: GeneratorSet, clock: Clock,
+              leave: Exit = _local_basis) -> Generator[None, None, T]:
     """Minimal standard basis via a Groebner basis of the homogenized generators.
 
     Under the lift's order (see _Layout: total degree, then the exponent of
@@ -677,8 +752,8 @@ def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, Reduced
     and their leading monomials generate its full local leading ideal
     (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
     section 1.7).  The global pair loop is a run that spends ``clock``; its
-    elements are dehomogenized and minimalized as they are, so, as with
-    direct Mora, the tails are not reduced.
+    elements are dehomogenized and leave through ``leave`` as they are, so,
+    as with direct Mora, the tails are not reduced.
     """
     order = gens.order
     lift = _layout(order.kind, order.nvars, True)
@@ -695,7 +770,7 @@ def _lift_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, Reduced
         return mon & (1 << shift) - 1 | (mon >> lift.shift) - (mon >> shift & _ONES) << shift
 
     entries = [(local(lm), {local(mon): c for mon, c in g.items()}) for lm, _, g in live]
-    return _local_basis(order, _layout(order.kind, order.nvars), entries)
+    return leave(order, _layout(order.kind, order.nvars), entries)
 
 
 def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
@@ -703,12 +778,13 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
     return _finish(_lift_run(gens, [inf]))
 
 
-def _direct_run(gens: GeneratorSet, clock: Clock) -> Generator[None, None, ReducedBasis]:
+def _direct_run(gens: GeneratorSet, clock: Clock,
+                leave: Exit = _local_basis) -> Generator[None, None, T]:
     """Direct Mora with the highest-corner cut, as a run that spends ``clock``."""
     layout = _layout(gens.order.kind, gens.order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
     live = yield from _pair_loop(generators, layout, partial(_mora_weak_nf, layout, clock))
-    return _local_basis(gens.order, layout, live)
+    return leave(gens.order, layout, live)
 
 
 # Reduction steps in the first turn of each run of the mora_local race;
@@ -733,23 +809,33 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
     determine the leading ideal and hence all quotient data.  The leading
     ideal is the same whichever run wins.
     """
+    return _race(gens, _local_basis)
+
+
+def _local_leading(gens: GeneratorSet) -> list[Monomial]:
+    """The leading monomials of ``mora_local(gens)``, from the same race, without its elements."""
+    return _race(gens, _minimal_leading)
+
+
+def _race(gens: GeneratorSet, leave: Exit) -> T:
+    """What the winner of the race of ``mora_local`` returns through ``leave``."""
     if not gens.order.is_local:
         raise ValueError("mora_local requires a local order")
     steps = _FIRST_SLICE
     direct_clock = [steps]
-    direct = _results(_direct_run(gens, direct_clock))
-    if (basis := next(direct)) is not None:
-        return basis
+    direct = _results(_direct_run(gens, direct_clock, leave))
+    if (result := next(direct)) is not None:
+        return result
     # Most ideals finish in the first turn; only the others start the lift.
     lift_clock = [steps]
-    lift = _results(_lift_run(gens, lift_clock))
-    while (basis := next(lift)) is None:
+    lift = _results(_lift_run(gens, lift_clock, leave))
+    while (result := next(lift)) is None:
         steps *= 2
         direct_clock[0] += steps
-        if (basis := next(direct)) is not None:
+        if (result := next(direct)) is not None:
             break
         lift_clock[0] += steps
-    return basis
+    return result
 
 
 def normal_form(p: Polynomial, basis: ReducedBasis) -> Polynomial:
@@ -767,27 +853,27 @@ def _missing_power(lms: Sequence[Monomial], n: int) -> int | None:
     return None
 
 
-def _standard_monomials(lms: Sequence[Monomial], n: int) -> list[Monomial]:
-    """The monomials in n variables outside the ideal of ``lms``, in walk order.
+def _standard_runs(lms: Sequence[Monomial], n: int) -> list[tuple[Monomial, int]]:
+    """The monomials in n >= 1 variables outside the ideal of ``lms``, as runs in walk order.
 
+    A run (prefix, top) stands for the monomials prefix + (e,) with e < top.
     Every variable must have a pure power among ``lms``.  The staircase is
     walked by prefix.  A prefix of exponents keeps only the leading
     monomials it dominates in those positions; it is extended while the
     prefix padded with zeros is still standard, and in the last position the
-    exponent runs up to the least last exponent of the kept monomials.
-    Every prefix visited starts a standard monomial, so the time grows with
-    the dimension times the number of leading monomials and the memory with
-    the dimension, not with the box under the pure powers.
+    exponent runs up to the least last exponent of the kept monomials, which
+    is the run's top.  Every prefix visited starts a standard monomial, so
+    the time grows with the dimension times the number of leading monomials
+    and the memory with the number of runs, not with the box under the pure
+    powers.
     """
-    if n == 0:
-        return [] if lms else [()]
-    monomials: list[Monomial] = []
+    runs: list[tuple[Monomial, int]] = []
+    last = n - 1
 
     def walk(prefix: Monomial, kept: Sequence[Monomial]) -> None:
         i = len(prefix)
-        if i == n - 1:
-            top = min(map(itemgetter(i), kept))
-            monomials.extend(prefix + (e,) for e in range(top))
+        if i == last:
+            runs.append((prefix, min(map(itemgetter(i), kept))))
             return
         kept = sorted(kept, key=itemgetter(i))
         dominated: list[Monomial] = []
@@ -803,7 +889,21 @@ def _standard_monomials(lms: Sequence[Monomial], n: int) -> list[Monomial]:
             walk(prefix + (e,), dominated)
 
     walk((), lms)
-    return monomials
+    return runs
+
+
+def _quotient_runs(lms: Sequence[Monomial], n: int) -> list[tuple[Monomial, int]]:
+    """The runs of standard monomials of the ideal of ``lms`` in n >= 1 variables.
+
+    Raises NonZeroDimensionalError, naming the first variable with no pure
+    power among ``lms``, when the quotient is not finite dimensional.
+    """
+    i = _missing_power(lms, n)
+    if i is not None:
+        raise NonZeroDimensionalError(
+            f"no pure power of z{i + 1} in the leading ideal", variable=i
+        )
+    return _standard_runs(lms, n)
 
 
 def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
@@ -818,12 +918,11 @@ def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
     """
     n = basis.order.nvars
     lms = basis.leading_monomials()
-    i = _missing_power(lms, n)
-    if i is not None:
-        raise NonZeroDimensionalError(
-            f"no pure power of z{i + 1} in the leading ideal", variable=i
-        )
-    monomials = _standard_monomials(lms, n)
+    if n == 0:
+        monomials = [] if lms else [()]
+    else:
+        runs = _quotient_runs(lms, n)
+        monomials = [prefix + (e,) for prefix, top in runs for e in range(top)]
     # degrevlex: decreasing reversed exponents within a degree.
     monomials.sort(key=lambda mon: mon[::-1], reverse=True)
     monomials.sort(key=sum)

@@ -4,13 +4,15 @@ Each function recomputes a quantity by a route disjoint from the library's
 own algorithms: local quotient dimensions by truncated linear algebra over
 exact rationals, Burnside products by enumerating orbits of explicit G-sets,
 characters by exact root-of-unity traces, global bases via sympy, full
-division by plain Fraction arithmetic, and Milnor numbers by the product
-formula.  Oracles favour obviousness over speed.
+division by plain Fraction arithmetic, Gebauer and Moeller's pair update by
+its quadratic scans, and Milnor numbers by the product formula.  Oracles
+favour obviousness over speed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappush
 from itertools import product
 from math import prod
 
@@ -260,6 +262,41 @@ def fraction_full_remainder(p: Polynomial, basis, order) -> tuple[Polynomial, in
         else:
             remainder[lm] = work.pop(lm)
     return Polynomial(p.nvars, remainder), steps
+
+
+def quadratic_update_pairs(lms, live, pending, queue, layout) -> None:
+    """Gebauer and Moeller's update for the newest leading monomial, by quadratic scans.
+
+    The same contract as ``standard_basis._update_pairs``: an old pair whose
+    lcm the new leading monomial m divides, with both of its lcms with m
+    different from it, leaves ``pending`` (the chain criterion).  A new pair
+    is dropped when the lcm of a later new pair, or of a new pair kept
+    before it, divides its own; a coprime pair is kept but never queued.
+    Kept pairs enter ``pending`` and ``queue`` in the order of ``live``, and
+    the elements whose leading monomial m divides leave ``live``.
+    """
+    guard, lcm_of = layout.guard, layout.lcm
+    t = len(lms) - 1
+    m = lms[t]
+    for pair, lcm in list(pending.items()):
+        i, j = pair
+        if not (lcm - m) & guard and lcm_of(lms[i], m) != lcm and lcm_of(lms[j], m) != lcm:
+            del pending[pair]
+    fresh = [(i, lcm_of(lms[i], m)) for i in live]
+    kept = []
+    for pos, (i, lcm) in enumerate(fresh):
+        coprime = lms[i] + m == lcm
+        if coprime or not (
+            any(not (lcm - other) & guard for _, other in fresh[pos + 1 :])
+            or any(not (lcm - other) & guard for _, other, _ in kept)
+        ):
+            kept.append((i, lcm, coprime))
+    for i, lcm, coprime in kept:
+        if not coprime:
+            pending[(i, t)] = lcm
+            heappush(queue, (lcm >> layout.shift, layout.key(lcm), i, t))
+    live[:] = [i for i in live if (lms[i] - m) & guard]
+    live.append(t)
 
 
 def sympy_determinant(rows) -> int:

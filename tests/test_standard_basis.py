@@ -1,10 +1,14 @@
 """Global Groebner bases, local standard bases, and quotient extraction."""
 
 import hashlib
+import importlib
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
+from heapq import heappop
 from math import gcd, inf
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +16,23 @@ from eqidx import standard_basis
 from eqidx.equiv_index import (
     DiagonalAction,
     OneForm,
+    _character_of_quotient,
+    _dimension,
+    _global_quotient,
+    _origin_quotient,
+    conservation_check,
     equivariant_pullback,
+    global_index_character,
     hom_index,
     index_report,
     radial_index,
 )
-from eqidx.errors import InputError, NonZeroDimensionalError
+from eqidx.errors import (
+    GloballyNonZeroDimensionalError,
+    InputError,
+    NonIsolatedError,
+    NonZeroDimensionalError,
+)
 from eqidx.generator import random_case, random_shear
 from eqidx.poly import (
     MonomialOrder,
@@ -48,6 +63,7 @@ from oracles import (
     fraction_full_remainder,
     local_quotient_dimension,
     milnor_product,
+    quadratic_update_pairs,
     sympy_normal_form,
     sympy_reduced_groebner,
     truncated_quotient_dimension,
@@ -308,7 +324,8 @@ def test_full_remainder_is_primitive_against_fraction_oracle(monkeypatch):
         reducers = [
             standard_basis._entry(standard_basis._integer_terms(g, layout), layout) for g in basis
         ]
-        remainder, scale, steps = standard_basis._full_remainder(terms, reducers, layout)
+        remainder, num, den, steps = standard_basis._full_remainder(terms, reducers, layout)
+        scale = Fraction(num, den)
         remainder = dict(zip(map(layout.unpack, remainder), remainder.values()))
         exact, exact_steps = fraction_full_remainder(
             Polynomial(p.nvars, {layout.unpack(mon): Fraction(c) for mon, c in terms.items()}),
@@ -572,9 +589,9 @@ def _counted_lifts(monkeypatch):
     lifts = []
     direct_run = standard_basis._direct_run
 
-    def counted(gens, clock):
+    def counted(gens, *args):
         lifts.append(gens)
-        basis = yield from direct_run(gens, clock)
+        basis = yield from direct_run(gens, *args)
         lifts.pop()
         return basis
 
@@ -839,6 +856,142 @@ def test_engine_bases_are_pinned(monkeypatch):
             assert truncated_quotient_dimension(list(gens) + [g], bound) == dimension
         checked += 1
     assert checked == 34
+
+
+def _conservation_problems(count):
+    """The first ``count`` problems of the benchmark's conservation workload."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    return [
+        workloads.conservation_problem(workloads.case_rng("conservation", i), 4)
+        for i in range(count)
+    ]
+
+
+def _weight_counts(monomials, action):
+    """The twisted per-weight counts of a list of standard monomials."""
+    m, twist = action.group.order, action.volume_weight()
+    counts = [0] * m
+    for mon in monomials:
+        counts[(action.weight_of(mon) + twist) % m] += 1
+    return tuple(counts)
+
+
+def test_index_pipeline_agrees_with_the_public_route():
+    # The index pipeline reads a quotient off leading monomials alone: the
+    # race of mora_local or a pair loop that divides leading terms only, and
+    # the staircase as runs.  Its dimension and its per-weight counts must be
+    # those of quotient_basis over the public engines' bases, under each
+    # form's action and under probe actions whose last weight has periods
+    # m, m/2 and 1 (the runs are counted residue by residue).
+    probes = [(7, (3, 1, 2)), (6, (5, 1, 4)), (4, (1, 3, 0))]
+    local = []
+    for s in range(40):
+        local.append(random_case(random.Random(s), max_order=6, max_vars=3, max_degree=6))
+    hard = ((1, (0, 0, 0)), (1, (0, 0, 0)), (3, (2, 2, 1)))
+    for texts, (m, weights) in zip(HARD_IDEALS, hard):
+        form = OneForm(tuple(P(t, 3) for t in texts))
+        local.append((form, DiagonalAction(CyclicGroup(m), weights)))
+    rng = random.Random("verify-mix:101")
+    form, action = random_case(rng, max_order=6, max_vars=3, max_degree=5)
+    local.append((equivariant_pullback(form, random_shear(rng, action, max_degree=3), action), action))
+    deformed = []
+    for problem in _conservation_problems(100):
+        n = len(problem["weights"])
+        action = DiagonalAction(CyclicGroup(problem["order"]), tuple(problem["weights"]))
+        form, moved = (
+            OneForm(tuple(Polynomial(n, terms) for terms in problem[key]))
+            for key in ("form", "deformed")
+        )
+        local.append((form, action))
+        deformed.append((moved, action))
+    checked = 0
+    for routes, cases in (
+        ((_origin_quotient, mora_local, MonomialOrder.local_order), local),
+        ((_global_quotient, buchberger_global, MonomialOrder.global_order), deformed),
+    ):
+        pipeline, engine, order = routes
+        for form, action in cases:
+            n = form.nvars
+            runs = pipeline(form)
+            monomials = quotient_basis(engine(GeneratorSet(form.components, order(n)))).monomials
+            assert _dimension(runs) == len(monomials)
+            for m, weights in probes:
+                probe = DiagonalAction(CyclicGroup(m), weights[:n])
+                assert _character_of_quotient(runs, probe).coefficients == _weight_counts(
+                    monomials, probe
+                )
+            expected = _weight_counts(monomials, action)
+            assert _character_of_quotient(runs, action).coefficients == expected
+            checked += 1
+    assert checked == 244
+    # The typed errors and their messages are those of the public route.
+    trivial = DiagonalAction(CyclicGroup(1), (0, 0))
+
+    def form_of(*texts):
+        return OneForm(tuple(P(t, 2) for t in texts))
+
+    for texts, variable in (
+        (("z1*z2", "z1*z2"), 1),
+        (("z1^2", "z1*z2"), 2),
+        (("z1*z2 + z1^3", "z2^2*z1"), 2),
+    ):
+        message = f"the zero at the origin is not isolated: no pure power of z{variable} in the leading ideal"
+        for index in (hom_index, index_report):
+            with pytest.raises(NonIsolatedError) as caught:
+                index(form_of(*texts), trivial)
+            assert str(caught.value) == message
+            assert caught.value.__cause__.variable == variable - 1
+    for texts, variable in ((("z1*z2", "z2^2 - z2"), 1), (("z1^2 - z1", "z1*z2"), 2)):
+        message = f"the affine zero set is not finite: no pure power of z{variable} in the leading ideal"
+        for check in (
+            lambda d: global_index_character(d, trivial),
+            lambda d: conservation_check(form_of("z1^2", "z2^2"), d, trivial),
+        ):
+            with pytest.raises(GloballyNonZeroDimensionalError) as caught:
+                check(form_of(*texts))
+            assert str(caught.value) == message
+            assert caught.value.__cause__.variable == variable - 1
+
+
+def test_pair_update_against_quadratic_oracle():
+    # _update_pairs finds the kept new pairs in one pass over the minimal new
+    # lcms; the oracle scans every pair of new pairs.  Seeded insert
+    # sequences under the four order kinds, with and without the lift's t,
+    # in 1-4 variables with exponents 0-3, so that equal lcms and coprime
+    # pairs are common.  Pairs leave the queue between inserts, as in the
+    # pair loop.  After every insert the live elements, the pending pairs
+    # and the queue (the heap's list itself) must be equal.
+    rng = random.Random(2002)
+    inserts = equal_lcms = coprime = 0
+    for kind in ("degrevlex", "deglex", "negdegrevlex", "negdeglex"):
+        for lift in (False, True):
+            for n in range(1, 5):
+                layout = standard_basis._layout(kind, n, lift)
+                for _ in range(30):
+                    lms = []
+                    states = [([], {}, []), ([], {}, [])]
+                    for _ in range(rng.randint(1, 14)):
+                        mon = layout.pack(tuple(rng.randint(0, 3) for _ in range(n + lift)))
+                        lcms = [layout.lcm(lms[i], mon) for i in states[0][0]]
+                        equal_lcms += len(lcms) - len(set(lcms))
+                        coprime += sum(lms[i] + mon == lcm for i, lcm in zip(states[0][0], lcms))
+                        lms.append(mon)
+                        for update, (live, pending, queue) in zip(
+                            (standard_basis._update_pairs, quadratic_update_pairs), states
+                        ):
+                            update(lms, live, pending, queue, layout)
+                        assert states[0] == states[1], (kind, lift, n, lms)
+                        inserts += 1
+                        while states[0][2] and rng.random() < 0.4:
+                            for _, pending, queue in states:
+                                _, _, i, j = heappop(queue)
+                                pending.pop((i, j), None)
+    assert (inserts, equal_lcms, coprime) == (7121, 2941, 2448)
 
 
 def test_lift_basis_lies_in_its_ideal():
