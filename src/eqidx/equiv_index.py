@@ -51,7 +51,7 @@ from .rep_rings import (
     integer_determinant,
     reduce_to_rep,
 )
-from .standard_basis import GeneratorSet, _global_leading, _local_leading, _quotient_runs
+from .standard_basis import GeneratorSet, _staircase
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _dimension(runs: Runs) -> int:
 def _local_quotient(components: Sequence[Polynomial]) -> Runs:
     n = components[0].nvars
     gens = GeneratorSet(tuple(components), MonomialOrder.local_order(n))
-    return _quotient_runs(_local_leading(gens), n)
+    return _staircase(gens)
 
 
 def _origin_quotient(form: OneForm) -> Runs:
@@ -210,7 +210,7 @@ def _global_quotient(form: OneForm) -> Runs:
     """The global quotient of a form whose affine zero set is finite."""
     gens = GeneratorSet(form.components, MonomialOrder.global_order(form.nvars))
     try:
-        return _quotient_runs(_global_leading(gens), form.nvars)
+        return _staircase(gens)
     except NonZeroDimensionalError as e:
         raise GloballyNonZeroDimensionalError(
             f"the affine zero set is not finite: {e}"

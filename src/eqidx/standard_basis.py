@@ -4,37 +4,36 @@ Both engines run one pair loop: Buchberger's algorithm with pairs taken
 lowest lcm degree first and pruned by Gebauer and Moeller's criteria, which
 discard pairs that would reduce to zero under any monomial order.  They
 differ only in the reduction; both keep their elements primitive.  The
-global engine, under a degree order, divides fully and autoreduces into the
-reduced Groebner basis.  The local engine computes a minimal standard basis
-under a negative-degree order using Mora's weak normal form, whose reducer
-selection minimizes the ecart (the gap between the degree of a polynomial
-and the degree of its leading monomial) and which may recruit earlier
-partial remainders as reducers; with that discipline division terminates
-even though the ordering is not a well-order.  Termination can still be
-impractically slow (a reducer that is a unit multiple of a variable with a
-deep tail makes the leading monomial creep down one monomial at a time).
-Two cures work together.  The highest corner: once the leading monomials
-contain every monomial of some degree N, terms above N are dropped, and the
-computation runs in a finite space.  And a race: direct Mora and the
-homogenizing lift (the global pair loop on the homogenized generators, under
-a global order built from the requested local one, which always terminates
-and, dehomogenized, yields a standard basis of the same ideal) take turns
-of doubling numbers of reduction steps, and the first to finish returns the
-basis.  Both runs leave through one exit, which keeps a minimal set of
-elements and makes them monic; neither reduces the tails.  The pair loop
-and both reductions are generators, so direct Mora can pause in the middle
-of a reduction and resume there (the lift pauses between divisions).
-Quotient extraction walks the staircase of a zero-dimensional leading ideal
-in runs, z^p * z_n^e for e below a top, which quotient_basis expands into
-its standard monomials.
+global engine, under a degree order, divides each S-polynomial down to its
+remainder's leading monomial; buchberger_global then interreduces the
+minimal elements into the reduced Groebner basis.  The local engine
+computes a minimal standard basis under a negative-degree order using
+Mora's weak normal form, whose reducer selection minimizes the ecart (the
+gap between the degree of a polynomial and the degree of its leading
+monomial) and which may recruit earlier partial remainders as reducers;
+with that discipline division terminates even though the ordering is not a
+well-order.  Termination can still be impractically slow (a reducer that is
+a unit multiple of a variable with a deep tail makes the leading monomial
+creep down one monomial at a time).  Two cures work together.  The highest
+corner: once the leading monomials contain every monomial of some degree N,
+terms above N are dropped, and the computation runs in a finite space.  And
+a race: direct Mora and the homogenizing lift (the global pair loop on the
+homogenized generators, under a global order built from the requested local
+one, which always terminates and, dehomogenized, yields a standard basis of
+the same ideal) take turns of doubling numbers of reduction steps, and the
+first to finish wins.  Every run returns its layout and its live entries,
+and each entry point builds its own result from them: mora_local keeps a
+minimal set of the winner's elements and makes them monic, reducing no
+tails.  The pair loop and both reductions are generators, so direct Mora
+can pause in the middle of a reduction and resume there (the lift pauses
+between divisions).  Quotient extraction walks the staircase of a
+zero-dimensional leading ideal in runs, z^p * z_n^e for e below a top,
+which quotient_basis expands into its standard monomials.
 
 A quotient's dimension and weights depend on the leading ideal alone, so
-the index computations take leading monomials from private entry points
-that share these runs: _local_leading runs the race of mora_local and
-keeps only the winner's minimal leading monomials, and _global_leading runs
-the pair loop of buchberger_global with a division that stops at the first
-leading monomial no element divides, and interreduces nothing (the leading
-ideal under a global order is canonical).  Neither builds a Polynomial.
+the index computations call _staircase, which runs the race of mora_local
+or the pair loop of buchberger_global, as the order asks, and walks the
+staircase of the minimal leading monomials without building a Polynomial.
 
 Fractions and exponent tuples appear only at the Polynomial boundary.
 Generators enter as primitive integer term dicts (coprime integer
@@ -58,7 +57,7 @@ keeps its monomials sorted by order key.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -101,13 +100,9 @@ class ReducedBasis:
     elements: tuple[Polynomial, ...]
     order: MonomialOrder
     kind: str
-    # The leading monomial of each element, as the engines found them.
-    leading: tuple[Monomial, ...] | None = field(default=None, compare=False, repr=False)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        if self.leading is None:
-            return tuple(g.leading_monomial(self.order) for g in self.elements)
-        return self.leading
+        return tuple(g.leading_monomial(self.order) for g in self.elements)
 
 
 @dataclass(frozen=True)
@@ -197,7 +192,9 @@ Entry = tuple[int, int, IntTerms]
 # An engine run is a generator that pauses (yields) when its clock, a
 # one-element list holding the reduction steps it may still take, is spent;
 # whoever resumes it first adds steps.  A run on an endless clock, [inf],
-# never pauses.
+# never pauses.  A local run returns the layout of the requested order and
+# the entries of its live elements, tuples whose first item is the leading
+# monomial and whose last is the terms.
 Clock = list
 Corner = Callable[[bool], "int | None"]
 Reduce = Callable[[IntTerms, Sequence[Entry], Corner], Generator[None, None, IntTerms]]
@@ -672,26 +669,26 @@ def _full_reduce(layout: _Layout, clock: Clock, p: IntTerms, reducers: Sequence[
     return remainder
 
 
-def _global_run(gens: GeneratorSet, top: bool) -> tuple[_Layout, list[Entry]]:
+def _global_run(gens: GeneratorSet) -> tuple[_Layout, list[Entry]]:
     """The pair loop under the (global) order of ``gens``: its layout and live entries.
 
-    ``top`` selects the division (see _full_remainder): full division leaves
-    reduced remainders, division of the leading term alone leaves the same
-    leading monomials with unreduced tails, which is all a leading ideal
-    needs.
+    Each division stops at the remainder's leading monomial (see
+    _full_remainder): the tails stay unreduced, and each remainder has the
+    leading monomial full division would give it, which is all the pair
+    criteria and the leading ideal need.
     """
     order = gens.order
     if order.is_local:
         raise ValueError("buchberger_global requires a global order")
     layout = _layout(order.kind, order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
-    reduce = partial(_full_reduce, layout, [inf], top=top)
+    reduce = partial(_full_reduce, layout, [inf], top=True)
     return layout, _finish(_pair_loop(generators, layout, reduce))
 
 
 def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
-    layout, live = _global_run(gens, False)
+    layout, live = _global_run(gens)
     minimal = _minimalize(live, layout)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
@@ -699,18 +696,7 @@ def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
     for i, (lm, _, g) in enumerate(minimal):
         r = _full_remainder(g, minimal[:i] + minimal[i + 1 :], layout)[0]
         reduced.append(_polynomial(layout, r, r[lm]))
-    leading = tuple([layout.unpack(e[0]) for e in minimal])
-    return ReducedBasis(tuple(reduced), gens.order, "global", leading)
-
-
-def _global_leading(gens: GeneratorSet) -> list[Monomial]:
-    """The minimal generators of the leading ideal that ``buchberger_global`` finds.
-
-    The leading ideal of an ideal under a global order is canonical, so the
-    pair loop may divide leading terms alone, and nothing is interreduced.
-    """
-    layout, live = _global_run(gens, True)
-    return _minimal_leading(gens.order, layout, live)
+    return ReducedBasis(tuple(reduced), gens.order, "global")
 
 
 def _homogenize(p: Polynomial) -> Polynomial:
@@ -723,26 +709,15 @@ def _homogenize(p: Polynomial) -> Polynomial:
 
 
 def _local_basis(order: MonomialOrder, layout: _Layout, entries: Sequence[tuple]) -> ReducedBasis:
-    """The monic minimal standard basis of (leading monomial, ..., terms) tuples."""
+    """The monic minimal standard basis of a local run's entries."""
     minimal = _minimalize(entries, layout)
     elements = tuple([_polynomial(layout, e[-1], e[-1][e[0]]) for e in minimal])
-    return ReducedBasis(elements, order, "local", tuple([layout.unpack(e[0]) for e in minimal]))
+    return ReducedBasis(elements, order, "local")
 
 
-def _minimal_leading(order: MonomialOrder, layout: _Layout,
-                     entries: Sequence[tuple]) -> list[Monomial]:
-    """The leading monomials of ``_local_basis``, without building its elements."""
-    return [layout.unpack(e[0]) for e in _minimalize(entries, layout)]
-
-
-# A run's exit (``leave``): what the run returns, made from the order, the
-# layout and the (leading monomial, ..., terms) tuples of its live elements.
-Exit = Callable[[MonomialOrder, _Layout, Sequence[tuple]], T]
-
-
-def _lift_run(gens: GeneratorSet, clock: Clock,
-              leave: Exit = _local_basis) -> Generator[None, None, T]:
-    """Minimal standard basis via a Groebner basis of the homogenized generators.
+def _lift_run(gens: GeneratorSet,
+              clock: Clock) -> Generator[None, None, tuple[_Layout, list[tuple]]]:
+    """A local standard basis via a Groebner basis of the homogenized generators.
 
     Under the lift's order (see _Layout: total degree, then the exponent of
     t, then the local order of ``gens`` past its degree) the leading term of
@@ -752,7 +727,7 @@ def _lift_run(gens: GeneratorSet, clock: Clock,
     and their leading monomials generate its full local leading ideal
     (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
     section 1.7).  The global pair loop is a run that spends ``clock``; its
-    elements are dehomogenized and leave through ``leave`` as they are, so,
+    elements are returned dehomogenized, as (leading monomial, terms), so,
     as with direct Mora, the tails are not reduced.
     """
     order = gens.order
@@ -770,21 +745,21 @@ def _lift_run(gens: GeneratorSet, clock: Clock,
         return mon & (1 << shift) - 1 | (mon >> lift.shift) - (mon >> shift & _ONES) << shift
 
     entries = [(local(lm), {local(mon): c for mon, c in g.items()}) for lm, _, g in live]
-    return leave(order, _layout(order.kind, order.nvars), entries)
+    return _layout(order.kind, order.nvars), entries
 
 
 def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
     """The homogenizing lift of ``mora_local``, run to the end on its own."""
-    return _finish(_lift_run(gens, [inf]))
+    return _local_basis(gens.order, *_finish(_lift_run(gens, [inf])))
 
 
-def _direct_run(gens: GeneratorSet, clock: Clock,
-                leave: Exit = _local_basis) -> Generator[None, None, T]:
+def _direct_run(gens: GeneratorSet,
+                clock: Clock) -> Generator[None, None, tuple[_Layout, list[tuple]]]:
     """Direct Mora with the highest-corner cut, as a run that spends ``clock``."""
     layout = _layout(gens.order.kind, gens.order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
     live = yield from _pair_loop(generators, layout, partial(_mora_weak_nf, layout, clock))
-    return leave(gens.order, layout, live)
+    return layout, live
 
 
 # Reduction steps in the first turn of each run of the mora_local race;
@@ -809,26 +784,21 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
     determine the leading ideal and hence all quotient data.  The leading
     ideal is the same whichever run wins.
     """
-    return _race(gens, _local_basis)
+    return _local_basis(gens.order, *_race(gens))
 
 
-def _local_leading(gens: GeneratorSet) -> list[Monomial]:
-    """The leading monomials of ``mora_local(gens)``, from the same race, without its elements."""
-    return _race(gens, _minimal_leading)
-
-
-def _race(gens: GeneratorSet, leave: Exit) -> T:
-    """What the winner of the race of ``mora_local`` returns through ``leave``."""
+def _race(gens: GeneratorSet) -> tuple[_Layout, list[tuple]]:
+    """The layout and live entries of the winner of the race of ``mora_local``."""
     if not gens.order.is_local:
         raise ValueError("mora_local requires a local order")
     steps = _FIRST_SLICE
     direct_clock = [steps]
-    direct = _results(_direct_run(gens, direct_clock, leave))
+    direct = _results(_direct_run(gens, direct_clock))
     if (result := next(direct)) is not None:
         return result
     # Most ideals finish in the first turn; only the others start the lift.
     lift_clock = [steps]
-    lift = _results(_lift_run(gens, lift_clock, leave))
+    lift = _results(_lift_run(gens, lift_clock))
     while (result := next(lift)) is None:
         steps *= 2
         direct_clock[0] += steps
@@ -904,6 +874,19 @@ def _quotient_runs(lms: Sequence[Monomial], n: int) -> list[tuple[Monomial, int]
             f"no pure power of z{i + 1} in the leading ideal", variable=i
         )
     return _standard_runs(lms, n)
+
+
+def _staircase(gens: GeneratorSet) -> list[tuple[Monomial, int]]:
+    """The runs of standard monomials of the leading ideal of ``gens`` under its order.
+
+    The leading monomials are those of ``mora_local``'s race under a local
+    order and of ``buchberger_global``'s pair loop under a global one, kept
+    minimal; no Polynomial is built.  Raises NonZeroDimensionalError as
+    _quotient_runs does.
+    """
+    layout, entries = _race(gens) if gens.order.is_local else _global_run(gens)
+    minimal = [layout.unpack(e[0]) for e in _minimalize(entries, layout)]
+    return _quotient_runs(minimal, gens.order.nvars)
 
 
 def quotient_basis(basis: ReducedBasis) -> QuotientBasis:

@@ -231,6 +231,37 @@ def test_bezout_and_power_limits(tmp_path, capsys):
             assert detail in json.loads(out)["detail"]
 
 
+def test_point_shift_limit(tmp_path, capsys):
+    # Shifting a deformation to its points expands each monomial to at most
+    # prod(e_i + 1) terms over the point's nonzero coordinates.  Summed over
+    # points, components and monomials that may be 1,000, and a problem
+    # past it is refused by problem_from_dict with an Input error: exit 2
+    # under index as under verify, before any power is expanded.
+    def problem(deformation, points):
+        n = len(points[0])
+        form = [f"z{i}^2" for i in range(1, n + 1)]
+        return {"group": {"order": 1}, "weights": [0] * n, "form": form,
+                "deformation": deformation, "points": points}
+
+    edges = [
+        # 998 + 2 terms at the point; and 999 + 2.
+        (["z1^997 - z1"], ["z1^998 - z1"], [["1"]]),
+        # (500 + 483 + 3) + (10 + 1 + 3): the zero coordinate of the second
+        # point counts 1 in each monomial.  And 1 more at the first point.
+        (["z1^9*z2^49", "z2^482 + z1^2"], ["z1^9*z2^49", "z2^483 + z1^2"],
+         [["1", "1"], ["1/2", "0"]]),
+    ]
+    for accepted, refused, points in edges:
+        assert problem_from_dict(problem(accepted, points)).points is not None
+        spec = problem(refused, points)
+        with pytest.raises(InputError, match="more than 1000 terms"):
+            problem_from_dict(spec)
+        path = write_json(tmp_path, spec, "limit.json")
+        for argv in (("index",), ("verify", "--suite", "conservation")):
+            code, out = run(capsys, *argv, "--input", path)
+            assert code == 2 and json.loads(out)["error"] == "Input"
+
+
 def test_usage_errors_and_help(capsys):
     assert main(["index"]) == 2
     capsys.readouterr()

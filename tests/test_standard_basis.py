@@ -50,6 +50,9 @@ from eqidx.standard_basis import (
     _homogenize,
     _homogenized_local,
     _integer_terms,
+    _lift_run,
+    _local_basis,
+    _staircase,
     buchberger_global,
     global_normal_form,
     mora_local,
@@ -621,19 +624,17 @@ def test_scaling_generators_leaves_basis_unchanged(monkeypatch):
     assert lifts == []
 
 
-def _recorded_leading_monomials_hold(basis):
-    """Whether every element's recorded leading monomial is its own under the basis order."""
-    return basis.leading_monomials() == tuple(
-        g.leading_monomial(basis.order) for g in basis.elements
-    )
+def _entries_lead_themselves(layout, entries):
+    """Whether each run entry's leading monomial is the largest key among its own terms."""
+    return all(e[0] == max(e[-1], key=layout.key) for e in entries)
 
 
 def test_all_local_engines_agree(monkeypatch):
     # Under both local orders, mora_local, the lift and the direct run
-    # alone find one leading ideal, each recording its elements' own leading
-    # monomials, and its dimension is the truncation oracle's.  mora_local
-    # returns the lift's basis only when the lift finishes first; count
-    # those, so that mora_local stays the direct route here.
+    # alone find one leading ideal, each run's entries led by their own
+    # leading monomials, and its dimension is the truncation oracle's.
+    # mora_local returns the lift's basis only when the lift finishes first;
+    # count those, so that mora_local stays the direct route here.
     lifts = _counted_lifts(monkeypatch)
     rng = random.Random(977)
     for _ in range(15):
@@ -641,28 +642,30 @@ def test_all_local_engines_agree(monkeypatch):
         oracle = local_quotient_dimension(list(form.components))
         for kind in ("negdegrevlex", "negdeglex"):
             gens = GeneratorSet(tuple(form.components), MonomialOrder(kind, form.nvars))
-            direct = _finish(standard_basis._direct_run(gens, [inf]))
-            bases = (mora_local(gens), _homogenized_local(gens), direct)
+            runs = [_finish(run(gens, [inf])) for run in (standard_basis._direct_run, _lift_run)]
+            for layout, entries in runs:
+                assert _entries_lead_themselves(layout, entries)
+            bases = (mora_local(gens), *(_local_basis(gens.order, *run) for run in runs))
             assert len({frozenset(b.leading_monomials()) for b in bases}) == 1
             for basis in bases:
-                assert _recorded_leading_monomials_hold(basis)
                 assert quotient_basis(basis).dimension == oracle
     assert lifts == []
 
 
 def test_lift_under_negdeglex():
-    # random_case at seed 339 under negdeglex: a lift that sorted by
-    # negdegrevlex would win this race and record leading monomials that are
-    # not its elements'.  Every basis must record its elements' leading
-    # monomials under negdeglex, so that the dimension read from the
-    # recorded monomials is the one recomputed from the elements.
+    # random_case at seed 339: under negdeglex, a lift that sorted by
+    # negdegrevlex would win this race with entries led by monomials that
+    # are not their own under negdeglex.  Every run's entries must be led by
+    # their own leading monomials under both local orders, and the dimension
+    # read from them is the one recomputed from the elements.
     form, _action = random_case(random.Random(339))
-    order = MonomialOrder("negdeglex", form.nvars)
-    gens = GeneratorSet(tuple(form.components), order)
+    for kind in ("negdeglex", "negdegrevlex"):
+        gens = GeneratorSet(tuple(form.components), MonomialOrder(kind, form.nvars))
+        for run in (standard_basis._direct_run, _lift_run):
+            assert _entries_lead_themselves(*_finish(run(gens, [inf])))
+    gens = GeneratorSet(tuple(form.components), MonomialOrder("negdeglex", form.nvars))
     for basis in (mora_local(gens), _homogenized_local(gens)):
-        assert _recorded_leading_monomials_hold(basis)
         assert quotient_basis(basis).dimension == 99
-        assert quotient_basis(ReducedBasis(basis.elements, order, "local")).dimension == 99
 
 
 def test_unit_tail_generator_collapses():
@@ -883,15 +886,18 @@ def _weight_counts(monomials, action):
 
 def test_index_pipeline_agrees_with_the_public_route():
     # The index pipeline reads a quotient off leading monomials alone: the
-    # race of mora_local or a pair loop that divides leading terms only, and
-    # the staircase as runs.  Its dimension and its per-weight counts must be
-    # those of quotient_basis over the public engines' bases, under each
-    # form's action and under probe actions whose last weight has periods
-    # m, m/2 and 1 (the runs are counted residue by residue).
+    # race of mora_local or the pair loop of buchberger_global, which divides
+    # leading terms only, and the staircase as runs.  Its dimension and its
+    # per-weight counts must be those of quotient_basis over the public
+    # engines' bases, under each form's action and under probe actions whose
+    # last weight has periods m, m/2 and 1 (the runs are counted residue by
+    # residue), through the index helpers under the default orders and
+    # through _staircase under negdeglex and deglex.
     probes = [(7, (3, 1, 2)), (6, (5, 1, 4)), (4, (1, 3, 0))]
     local = []
     for s in range(40):
         local.append(random_case(random.Random(s), max_order=6, max_vars=3, max_degree=6))
+    corpus = local + [random_case(random.Random(339))]
     hard = ((1, (0, 0, 0)), (1, (0, 0, 0)), (3, (2, 2, 1)))
     for texts, (m, weights) in zip(HARD_IDEALS, hard):
         form = OneForm(tuple(P(t, 3) for t in texts))
@@ -910,15 +916,17 @@ def test_index_pipeline_agrees_with_the_public_route():
         local.append((form, action))
         deformed.append((moved, action))
     checked = 0
-    for routes, cases in (
-        ((_origin_quotient, mora_local, MonomialOrder.local_order), local),
-        ((_global_quotient, buchberger_global, MonomialOrder.global_order), deformed),
+    for pipeline, engine, kind, cases in (
+        (_origin_quotient, mora_local, "negdegrevlex", local),
+        (_global_quotient, buchberger_global, "degrevlex", deformed),
+        (_staircase, mora_local, "negdeglex", corpus),
+        (_staircase, buchberger_global, "deglex", deformed),
     ):
-        pipeline, engine, order = routes
         for form, action in cases:
             n = form.nvars
-            runs = pipeline(form)
-            monomials = quotient_basis(engine(GeneratorSet(form.components, order(n)))).monomials
+            gens = GeneratorSet(form.components, MonomialOrder(kind, n))
+            runs = _staircase(gens) if pipeline is _staircase else pipeline(form)
+            monomials = quotient_basis(engine(gens)).monomials
             assert _dimension(runs) == len(monomials)
             for m, weights in probes:
                 probe = DiagonalAction(CyclicGroup(m), weights[:n])
@@ -928,7 +936,7 @@ def test_index_pipeline_agrees_with_the_public_route():
             expected = _weight_counts(monomials, action)
             assert _character_of_quotient(runs, action).coefficients == expected
             checked += 1
-    assert checked == 244
+    assert checked == 385
     # The typed errors and their messages are those of the public route.
     trivial = DiagonalAction(CyclicGroup(1), (0, 0))
 
@@ -1171,6 +1179,8 @@ def test_fuzz_local_routes_and_indices():
         direct = next(standard_basis._results(run))
         if direct is None:
             unfinished.append(seed)
+        else:
+            direct = _local_basis(gens.order, *direct)
         dimensions = set()
         for basis in (direct, _homogenized_local(gens), mora_local(gens)):
             if basis is None:
