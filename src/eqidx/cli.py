@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from .equiv_index import (
 )
 from .errors import EqidxError, InputError, PreconditionError
 from .generator import _form_and_report, random_action
-from .poly import _MAX_POWER_TERMS, Polynomial, format_polynomial, parse_polynomial
+from .poly import (_MAX_DIGITS, _MAX_POWER_TERMS, _TOO_LONG, Polynomial, format_polynomial,
+                   parse_polynomial)
 from .rep_rings import BurnsideElement, CyclicGroup, RepRingElement, integer_determinant
 
 
@@ -74,27 +76,47 @@ def _is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _json_integer(text: str) -> int:
+    """A JSON integer literal, refused past _MAX_DIGITS digits before converting it."""
+    if len(text.lstrip("-")) > _MAX_DIGITS:
+        raise InputError(f"JSON integer longer than {_MAX_DIGITS} digits")
+    return int(text)
+
+
 def _as_exact(value: Any, context: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{context}: expected an exact number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
-        if value.is_integer():
-            return Fraction(int(value))
-        raise InputError(
-            f"{context}: non-integer floats are inexact, write the rational as a string"
-        )
-    if isinstance(value, str):
+        if not value.is_integer():
+            raise InputError(
+                f"{context}: non-integer floats are inexact, write the rational as a string"
+            )
+        value = int(value)
+    if isinstance(value, int):
+        exact = Fraction(value)
+    elif isinstance(value, str):
+        # Fraction computes 10^exponent, however large: refuse a digit group
+        # over _MAX_DIGITS, and then an exponent over twice that, first (a
+        # nonzero mantissa lies in [10^-_MAX_DIGITS, 10^_MAX_DIGITS)).
+        exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*\Z", value)
+        if max(map(len, re.findall(r"[\d_]+", value)), default=0) > _MAX_DIGITS or (
+            exponent is not None and abs(int(exponent[1].replace("_", ""))) > 2 * _MAX_DIGITS
+        ):
+            raise InputError(f"{context}: number longer than {_MAX_DIGITS} digits")
         try:
-            return Fraction(value)
+            exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"{context}: {e}") from e
-    raise InputError(f"{context}: expected an exact number, got {type(value).__name__}")
+    else:
+        raise InputError(f"{context}: expected an exact number, got {type(value).__name__}")
+    if abs(exact.numerator) >= _TOO_LONG or exact.denominator >= _TOO_LONG:
+        raise InputError(f"{context}: number longer than {_MAX_DIGITS} digits")
+    return exact
 
 
-def _bounded(form: OneForm, name: str) -> OneForm:
-    """``form``, if its Bezout number is at most _MAX_BEZOUT."""
+def _bounded(texts: list[str], n: int, name: str) -> OneForm:
+    """The form the texts write, if its Bezout number is at most _MAX_BEZOUT."""
+    form = OneForm(tuple(parse_polynomial(t, n) for t in texts))
     bezout = prod(max(p.total_degree(), 1) for p in form.components)
     if bezout > _MAX_BEZOUT:
         raise InputError(
@@ -131,7 +153,7 @@ def problem_from_dict(data: Any) -> ProblemSpec:
         )
     n = len(weights)
     action = DiagonalAction(CyclicGroup(m), tuple(weights))
-    form = _bounded(OneForm(tuple(parse_polynomial(t, n) for t in texts)), "form")
+    form = _bounded(texts, n, "form")
 
     deformation = None
     if data.get("deformation") is not None:
@@ -140,9 +162,7 @@ def problem_from_dict(data: Any) -> ProblemSpec:
             isinstance(t, str) for t in dtexts
         ):
             raise InputError(f"deformation must be a list of {n} polynomial strings")
-        deformation = _bounded(
-            OneForm(tuple(parse_polynomial(t, n) for t in dtexts)), "deformation"
-        )
+        deformation = _bounded(dtexts, n, "deformation")
 
     points = None
     if data.get("points") is not None:
@@ -163,7 +183,7 @@ def problem_from_dict(data: Any) -> ProblemSpec:
 
 
 def _bounded_shifts(deformation: OneForm, points: Sequence[tuple[Fraction, ...]]) -> None:
-    """Refuse points that shift the deformation past _MAX_POWER_TERMS terms.
+    """Refuse points that shift the deformation past _MAX_POWER_TERMS terms or _MAX_DIGITS digits.
 
     Shifting to a point expands each monomial's powers of z_i + c_i for the
     nonzero coordinates c_i, so a monomial becomes at most prod(e_i + 1)
@@ -173,24 +193,34 @@ def _bounded_shifts(deformation: OneForm, points: Sequence[tuple[Fraction, ...]]
     deformation z1^997 - z1 with the point 1 takes 3.1 s and 138 MB on a
     2-core VM under Python 3.11 (5.5 s and 187 MB with the point 1/3), and
     z1^4000 - z1 would take 75 s and 3.5 GB.
+
+    The powers c_i^e_i follow the parser's one-term power rule: a monomial
+    is refused where sum(e_i * (b_i - 1)) reaches the bit length of
+    _TOO_LONG, b_i that of the larger of |numerator| and denominator of c_i.
+    At that limit z1^300 - A*z1^299 at A takes 0.5 s and 53 MB with 14
+    digits in A (300, now refused, took 8.6 s and 623 MB); the worst accepted
+    case found, z1^997 - z1 at -32767/32766, takes 48-50 s and 801 MB.
     """
     count = 0
     for point in points:
-        moved = [i for i, c in enumerate(point) if c]
+        moved = [(i, max(abs(c.numerator), c.denominator).bit_length() - 1)
+                 for i, c in enumerate(point) if c]
         for p in deformation.components:
             for mon in p.terms:
-                count += prod(mon[i] + 1 for i in moved)
+                count += prod(mon[i] + 1 for i, _ in moved)
                 if count > _MAX_POWER_TERMS:
                     raise InputError(
                         f"the points shift the deformation to more than {_MAX_POWER_TERMS} terms"
                     )
+                if sum(mon[i] * bits for i, bits in moved) >= _TOO_LONG.bit_length():
+                    raise InputError(f"a point shifts the deformation past {_MAX_DIGITS} digits")
 
 
 def load_problem_specs(path: str) -> list[ProblemSpec]:
     """Read one problem or a list of problems from a JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_integer)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
@@ -304,21 +334,9 @@ def power_family_cases() -> list[Case]:
         for s in range(1, 4):
             action = DiagonalAction(group, (1,))
             form = OneForm((Polynomial.monomial(1, (s * m - 1,)),))
-            report = index_report(form, action)
             closed = s * RepRingElement.regular(group) - RepRingElement.one(group)
-            computed = {
-                "hom": character_payload(report.hom),
-                "reduced_radial": character_payload(report.reduced_radial),
-            }
-            cases.append(
-                Case(
-                    case_id=f"power-m{m}-s{s}",
-                    inputs=_case_inputs(action, form),
-                    expected=character_payload(closed),
-                    computed=computed,
-                    passed=report.hom == closed and report.reduced_radial == closed,
-                )
-            )
+            report = index_report(form, action)
+            cases.append(_coincidence_case(f"power-m{m}-s{s}", action, form, report, closed))
     return cases
 
 
@@ -344,16 +362,18 @@ HAND_CASES: tuple[tuple[int, tuple[int, ...], tuple[str, ...]], ...] = (
 
 
 def _coincidence_case(case_id: str, action: DiagonalAction, form: OneForm,
-                      report: IndexReport) -> Case:
+                      report: IndexReport, expected: RepRingElement | None = None) -> Case:
+    """Both indices of a report against ``expected``, by default the homological one."""
+    expected = report.hom if expected is None else expected
     return Case(
         case_id=case_id,
         inputs=_case_inputs(action, form),
-        expected=character_payload(report.hom),
+        expected=character_payload(expected),
         computed={
             "hom": character_payload(report.hom),
             "reduced_radial": character_payload(report.reduced_radial),
         },
-        passed=report.hom == report.reduced_radial,
+        passed=report.hom == expected == report.reduced_radial,
     )
 
 
@@ -392,9 +412,12 @@ def suite_sebastiani_thom(seed: int, count: int) -> list[Case]:
         form_b, report_b = _form_and_report(rng, action_b, max_degree=5)
         sum_form, sum_action = st_sum(form_a, action_a, form_b, action_b)
         report = index_report(sum_form, sum_action)
-        hom_ok = report.hom == report_a.hom * report_b.hom
-        rad_ok = report.radial == report_a.radial * report_b.radial
-        red_ok = report.reduced_radial == report_a.reduced_radial * report_b.reduced_radial
+        # A payload lists a character's coefficients, or a virtual G-set's
+        # nonzero ones, so equal payloads are equal elements.
+        fields = {"hom": character_payload, "radial": burnside_payload,
+                  "reduced_radial": character_payload}
+        expected = {k: f(getattr(report_a, k) * getattr(report_b, k)) for k, f in fields.items()}
+        computed = {k: f(getattr(report, k)) for k, f in fields.items()}
         cases.append(
             Case(
                 case_id=f"st-{i:03d}",
@@ -403,19 +426,9 @@ def suite_sebastiani_thom(seed: int, count: int) -> list[Case]:
                     "left": _case_inputs(action_a, form_a),
                     "right": _case_inputs(action_b, form_b),
                 },
-                expected={
-                    "hom": character_payload(report_a.hom * report_b.hom),
-                    "radial": burnside_payload(report_a.radial * report_b.radial),
-                    "reduced_radial": character_payload(
-                        report_a.reduced_radial * report_b.reduced_radial
-                    ),
-                },
-                computed={
-                    "hom": character_payload(report.hom),
-                    "radial": burnside_payload(report.radial),
-                    "reduced_radial": character_payload(report.reduced_radial),
-                },
-                passed=hom_ok and rad_ok and red_ok,
+                expected=expected,
+                computed=computed,
+                passed=expected == computed,
             )
         )
     return cases
@@ -500,23 +513,24 @@ def suite_rings() -> list[Case]:
         for s in range(1, 5):
             x = s * reg - RepRingElement.one(group)
             det = integer_determinant(x.multiplication_matrix())
-            ok = abs(det) == s * m - 1 and not x.is_zero_divisor()
+            zero_divisor = x.is_zero_divisor()
             cases.append(
                 Case(
                     case_id=f"nzd-m{m}-s{s}",
                     inputs={"group": {"order": m}, "element": f"{s}*regular - 1"},
                     expected={"determinant_abs": s * m - 1, "zero_divisor": False},
-                    computed={"determinant": det, "zero_divisor": x.is_zero_divisor()},
-                    passed=ok,
+                    computed={"determinant": det, "zero_divisor": zero_divisor},
+                    passed=abs(det) == s * m - 1 and not zero_divisor,
                 )
             )
+        zero_divisor = reg.is_zero_divisor()
         cases.append(
             Case(
                 case_id=f"reg-m{m}",
                 inputs={"group": {"order": m}, "element": "regular"},
                 expected={"zero_divisor": m > 1},
-                computed={"zero_divisor": reg.is_zero_divisor()},
-                passed=reg.is_zero_divisor() == (m > 1),
+                computed={"zero_divisor": zero_divisor},
+                passed=zero_divisor == (m > 1),
             )
         )
     return cases

@@ -37,7 +37,6 @@ from .errors import (
     NonZeroDimensionalError,
     NotEquivariantMapError,
     NotInvariantError,
-    RestrictedNonIsolatedError,
     SingularLinearPartError,
 )
 from .poly import Monomial, MonomialOrder, Polynomial, monomial_weight
@@ -189,19 +188,14 @@ def _dimension(runs: Runs) -> int:
     return sum(map(itemgetter(1), runs))
 
 
-def _local_quotient(components: Sequence[Polynomial]) -> Runs:
-    n = components[0].nvars
-    gens = GeneratorSet(tuple(components), MonomialOrder.local_order(n))
-    return _staircase(gens)
-
-
 def _origin_quotient(form: OneForm) -> Runs:
     """The local quotient at the origin of a form with an isolated zero there.
 
     Callers check the form's invariance first.
     """
+    gens = GeneratorSet(form.components, MonomialOrder.local_order(form.nvars))
     try:
-        return _local_quotient(form.components)
+        return _staircase(gens)
     except NonZeroDimensionalError as e:
         raise NonIsolatedError(f"the zero at the origin is not isolated: {e}") from e
 
@@ -264,6 +258,12 @@ def _stratum_table(
     number; an empty fixed subspace is the origin alone and counts with
     multiplicity 1.  Different subgroups may share a fixed set, so dimensions
     are cached by it.
+
+    The caller has found the zero of the whole form isolated, so every
+    restriction has an isolated zero: by invariance each monomial of a
+    component outside the fixed set contains a variable outside it, so the
+    restricted local algebra is the full one modulo those variables, of
+    dimension at most the given Milnor number.
     """
     dimensions = {tuple(range(form.nvars)): milnor_number, (): 1}
     out: dict[int, StratumData] = {}
@@ -271,13 +271,8 @@ def _stratum_table(
         keep = action.fixed_variables(a)
         if keep not in dimensions:
             restricted = tuple(form.components[i].restrict_to(keep) for i in keep)
-            try:
-                dimensions[keep] = _dimension(_local_quotient(restricted))
-            except NonZeroDimensionalError as e:
-                raise RestrictedNonIsolatedError(
-                    f"the restriction to the fixed subspace of the order {a} "
-                    f"subgroup does not have an isolated zero: {e}"
-                ) from e
+            gens = GeneratorSet(restricted, MonomialOrder.local_order(len(keep)))
+            dimensions[keep] = _dimension(_staircase(gens))
         out[a] = StratumData(keep, dimensions[keep])
     return out
 
@@ -311,7 +306,7 @@ def index_report(form: OneForm, action: DiagonalAction) -> IndexReport:
     """Both indices from one local quotient at the origin and its fixed strata.
 
     Requires the form to be invariant with an algebraically isolated zero at
-    the origin on every fixed subspace.
+    the origin; its restriction to every fixed subspace then has one too.
     """
     _require_invariant(form, action)
     quotient = _origin_quotient(form)
@@ -423,20 +418,15 @@ def equivariant_pullback(
 def isotropy_subgroup(point: Sequence, action: DiagonalAction) -> Subgroup:
     """The subgroup fixing the given point.
 
-    An element fixes the point exactly when it fixes every coordinate where
-    the point is nonzero; the fixing elements form the unique subgroup whose
-    order is their count.
+    The element t fixes the point exactly when t * k = 0 mod m for the weight
+    k of every nonzero coordinate, that is when m divides t * d for the gcd d
+    of m and those weights.  The fixing elements are the multiples of m / d,
+    the subgroup of order d.
     """
     if len(point) != action.nvars:
         raise DimensionMismatchError("point dimension does not match the action")
-    m = action.group.order
-    support = [i for i, v in enumerate(point) if Fraction(v) != 0]
-    count = sum(
-        1
-        for t in range(m)
-        if all((t * action.weights[i]) % m == 0 for i in support)
-    )
-    return Subgroup(action.group, count)
+    moved = (k for k, v in zip(action.weights, point) if Fraction(v) != 0)
+    return Subgroup(action.group, gcd(action.group.order, *moved))
 
 
 def local_index_at_point(
@@ -451,9 +441,16 @@ def local_index_at_point(
     """
     _require_invariant(form, action)
     sub = isotropy_subgroup(point, action)
-    pt = [Fraction(v) for v in point]
-    shifted = OneForm(tuple(f.shift(pt) for f in form.components))
-    return hom_index(shifted, action.subgroup_action(sub.order))
+    return _index_at_point(form, point, action.subgroup_action(sub.order))
+
+
+def _index_at_point(form: OneForm, point: Sequence, action: DiagonalAction) -> RepRingElement:
+    """The index at the point of an invariant form, over a subgroup fixing the point.
+
+    That subgroup keeps the recentered form invariant, so it is not checked.
+    """
+    shifted = OneForm(tuple(f.shift(point) for f in form.components))
+    return _character_of_quotient(_origin_quotient(shifted), action)
 
 
 def global_index_character(form: OneForm, action: DiagonalAction) -> RepRingElement:
@@ -523,36 +520,20 @@ def conservation_check(
             f"from the local multiplicity {_dimension(local_runs)} at the origin"
         )
 
+    origin = None
+    orbits = []
     if points is None:
         total = _character_of_quotient(global_runs, action)
-        return ConservationReport(
-            mode="global",
-            reference=reference,
-            total=total,
-            origin=None,
-            orbits=(),
-            matched=total == reference,
-        )
-
-    origin = hom_index(deformed, action)
-    orbits = []
-    total = origin
-    for point in points:
-        pt = tuple(Fraction(v) for v in point)
-        sub = isotropy_subgroup(pt, action)
-        local = local_index_at_point(deformed, pt, action)
-        lifted = induce(sub, local)
-        orbits.append(
-            OrbitContribution(
-                representative=pt,
-                isotropy_order=sub.order,
-                local_index=local,
-                induced=lifted,
-            )
-        )
-        total = total + lifted
+    else:
+        origin = _character_of_quotient(_origin_quotient(deformed), action)
+        for point in points:
+            pt = tuple(Fraction(v) for v in point)
+            sub = isotropy_subgroup(pt, action)
+            local = _index_at_point(deformed, pt, action.subgroup_action(sub.order))
+            orbits.append(OrbitContribution(pt, sub.order, local, induce(sub, local)))
+        total = sum((orbit.induced for orbit in orbits), origin)
     return ConservationReport(
-        mode="pointwise",
+        mode="global" if points is None else "pointwise",
         reference=reference,
         total=total,
         origin=origin,

@@ -77,7 +77,10 @@ class NonIsolatedError(PreconditionError):
 
 
 class RestrictedNonIsolatedError(NonIsolatedError):
-    """A restriction to a fixed subspace fails to have an isolated zero."""
+    """A restriction to a fixed subspace fails to have an isolated zero.
+
+    ``index_report`` cannot raise it (see ``equiv_index._stratum_table``).
+    """
 
     kind = "RestrictedNonIsolated"
 

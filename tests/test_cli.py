@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -393,5 +395,134 @@ def test_verify_report_bytes_are_pinned(capsys):
         ),
     ):
         code, out = run(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+def test_number_digit_limit(tmp_path, capsys):
+    # A number in a problem file may have at most 4,300 digits in its
+    # numerator and in its denominator, as in a polynomial: a JSON integer
+    # past that is refused before it is converted, and a point string before
+    # Fraction computes its exponent.  Exit 2 under index as under verify.
+    def text(point):
+        # json.dumps cannot write a 4,301-digit int on every Python
+        return ('{"group": {"order": 1}, "weights": [0], "form": ["z1"], '
+                f'"deformation": ["z1"], "points": [[{point}]]}}')
+
+    accepted = ["9" * 4300, '"1e4299"', f'"-{"9" * 4300}/7"', '"5e-4300"', '"0.5"', "7.0"]
+    refused = ["9" * 4301, "-" + "9" * 4301, '"1e4300"', '"1e-4300"', '"1e5000"',
+               '"1e30000000"', '"1e-30000000"', f'"{"1" * 4301}"', f'"1/{"3" * 4301}"']
+    for point in accepted + refused:
+        path = tmp_path / "digits.json"
+        path.write_text(text(point), encoding="utf-8")
+        for argv in (("index",), ("verify", "--suite", "conservation")):
+            start = time.perf_counter()
+            code, out = run(capsys, *argv, "--input", str(path))
+            assert time.perf_counter() - start < 5, point[:20]
+            if point in accepted:
+                assert code == 0, (point[:20], out)
+            else:
+                assert code == 2 and json.loads(out)["error"] == "Input", point[:20]
+                assert "4300 digits" in json.loads(out)["detail"]
+
+    # The same edges through problem_from_dict, for strings and ints.
+    def problem(point):
+        return {"group": {"order": 1}, "weights": [0], "form": ["z1"], "points": [[point]]}
+
+    assert problem_from_dict(problem("1e4299")).points == ((Fraction(10**4299),),)
+    assert problem_from_dict(problem(10**4300 - 1)).points == ((Fraction(10**4300 - 1),),)
+    assert problem_from_dict(problem("5e-4300")).points == ((Fraction(1, 2 * 10**4299),),)
+    for point in ("1e4300", "1e-4300", "1e30000000", 10**4300, -(10**4300)):
+        with pytest.raises(InputError, match="longer than 4300 digits"):
+            problem_from_dict(problem(point))
+    # A JSON integer past the limit anywhere in the file, even as a weight.
+    path = tmp_path / "weight.json"
+    path.write_text('{"group": {"order": 1}, "weights": [%s], "form": ["z1"]}' % ("1" * 5000))
+    code, out = run(capsys, "index", "--input", str(path))
+    assert code == 2 and json.loads(out)["error"] == "Input"
+
+
+def test_point_coordinates_keep_their_values():
+    # Every form a coordinate could take within the limit reads as Fraction reads it.
+    for point in ("3", "-3", "+3", " 3 ", "1/2", "-3/4", "12/18", "1.5", ".5", "5.",
+                  "-0.25", "1e5", "1E-3", "1.5e+2", "2.50e-1", "000123", 3, -4, 7.0, 1e300):
+        spec = {"group": {"order": 1}, "weights": [0], "form": ["z1"], "points": [[point]]}
+        expected = Fraction(int(point)) if isinstance(point, float) else Fraction(point)
+        assert problem_from_dict(spec).points == ((expected,),), point
+
+
+def test_point_shift_digit_limit(tmp_path, capsys):
+    # Shifting to a point raises each nonzero coordinate c_i to the exponents
+    # e_i of every monomial; as for a one-term power in the parser, a
+    # monomial where sum(e_i * (b_i - 1)) reaches 14,285 bits, b_i the bits of
+    # the larger of |numerator| and denominator of c_i, is refused: exit 2
+    # under index as under verify, before any shift.
+    def problem(e, a):
+        return {"group": {"order": 1}, "weights": [0], "form": [f"z1^{e}"],
+                "deformation": [f"z1^{e} - {a}*z1^{e - 1}"], "points": [[str(a)]]}
+
+    def sevens(digits):
+        return int("7" * digits)
+
+    edges = [
+        # (b - 1) * e: 46 * 300 = 13,800 against 49 * 300 = 14,700
+        (problem(300, sevens(14)), problem(300, sevens(15))),
+        # 331 * 43 = 14,233 against 331 * 44 = 14,564
+        (problem(43, sevens(100)), problem(44, sevens(100))),
+        (problem(14, sevens(300)), problem(15, sevens(300))),
+        (problem(4, sevens(1000)), problem(5, sevens(1000))),
+        (problem(43, Fraction(1, sevens(100))), problem(44, Fraction(1, sevens(100)))),
+    ]
+    for accepted, refused in edges:
+        assert problem_from_dict(accepted).points is not None
+        with pytest.raises(InputError, match="past 4300 digits"):
+            problem_from_dict(refused)
+    # The coordinates of a point add up: 30 * 238 + 30 * 238 = 14,280
+    # against 30 * 238 + 30 * 239 = 14,310, in 961 + 3 terms.
+    two = {"group": {"order": 1}, "weights": [0, 0], "form": ["z1^2", "z2^2"],
+           "deformation": ["z1^30*z2^30", "z2^2"], "points": [[str(2**238), str(2**238)]]}
+    assert problem_from_dict(two).points is not None
+    two["points"] = [[str(2**238), str(2**239)]]
+    with pytest.raises(InputError, match="past 4300 digits"):
+        problem_from_dict(two)
+    for accepted, refused in edges[:2]:
+        for spec, expected in ((accepted, 0), (refused, 2)):
+            path = write_json(tmp_path, spec, "shift.json")
+            for argv in (("index",), ("verify", "--suite", "conservation")):
+                assert run(capsys, *argv, "--input", path)[0] == expected
+
+
+def test_index_and_input_report_bytes_are_pinned(tmp_path, capsys):
+    # The benchmark's hard ideals through eqidx index (direct Mora wins
+    # mu=93, the lift mu=96 and mu=89), the coincidence suite at seed 149
+    # (which races the mu=96 and mu=89 ideals), and verify --input on the
+    # README example and on the bundled conservation family-001.  Each
+    # problem is written as its text, and each report must keep its bytes.
+    problems = {
+        "mu93": '{"group": {"order": 1}, "weights": [0, 0, 0], "form": ["-3/2*z1^5 + 2*z1^2*z2*z3^2", "3*z2^5 - 3/2*z1^2*z2", "3*z1^3*z2*z3 - 2*z3^5 + z2^2*z3"]}',
+        "mu96": '{"group": {"order": 1}, "weights": [0, 0, 0], "form": ["3*z1^4 + z1^3*z2 + 3*z2^3*z3", "-z2^4", "-3/2*z3^6 + 1/2*z2*z3^3 + 2*z1^3"]}',
+        "mu89": '{"group": {"order": 3}, "weights": [2, 2, 1], "form": ["1/2*z1^5 + 2*z1^3*z2^2", "-z2^5 - 2*z1*z3^2", "-3/2*z3^5 - 2*z2^4 - 2*z2"]}',
+        "readme": '{"group": {"order": 2}, "weights": [1], "form": ["z1^3"]}',
+        "family": '{"group": {"order": 2}, "weights": [1, 0], "form": ["z1^3", "z2^3"], "deformation": ["z1^3 - z1", "z2^3 - z2"], "points": [["0", "1"], ["0", "-1"], ["1", "0"], ["1", "1"], ["1", "-1"]]}',
+    }
+    paths = {}
+    for name, text in problems.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text + "\n", encoding="utf-8")
+    for argv, digest in (
+        (["verify", "--suite", "coincidence", "--seed", "149", "--cases", "50"],
+         "aa1eec6e2374c979373362bfff9e54e36c2d829bebea16b13866e478ab55271b"),
+        (["index", "--input", paths["mu93"]],
+         "f2dc8f1ea9eef80f3d3ad19da8c2b7efc8ee2145469d0d6f94701423ac20b6ce"),
+        (["index", "--input", paths["mu96"]],
+         "27b2c40842cb2540970c86b325c064ef02857903be683ac2f49e9a2ec46d377a"),
+        (["index", "--input", paths["mu89"]],
+         "5542e7729870c4a168749bf548b720e901ab64fffc0e4ac15b2be2933bfef3f7"),
+        (["verify", "--suite", "coincidence", "--cases", "0", "--input", paths["readme"]],
+         "b5242955647fc7759441140bd0a640b658cfe47fc38209e06b805543726bd703"),
+        (["verify", "--suite", "conservation", "--input", paths["family"]],
+         "f26a644e372e5aea1d1bf2f23c37e68069a3037325a53b356b13deba444220c3"),
+    ):
+        code, out = run(capsys, *map(str, argv))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

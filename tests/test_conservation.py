@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqidx import equiv_index
 from eqidx.equiv_index import (
     DiagonalAction,
     OneForm,
@@ -58,6 +59,23 @@ def test_pointwise_two_variable_family():
     assert [orbit.isotropy_order for orbit in report.orbits] == [2, 2, 1, 1, 1]
     assert report.total == report.reference
     assert report.matched
+
+
+def test_pointwise_check_checks_each_form_and_point_once(monkeypatch):
+    # the bundled family-001: the two forms are each checked for invariance
+    # once, and each of the five points gets its isotropy subgroup once
+    # (checking the deformation again per point made 13 and 10 calls)
+    calls = {"_invariance_violation": 0, "isotropy_subgroup": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(equiv_index, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(equiv_index, name, counted)
+    form, action = make_case(2, (1, 0), ("z1^3", "z2^3"))
+    deformed, _ = make_case(2, (1, 0), ("z1^3 - z1", "z2^3 - z2"))
+    points = [("0", "1"), ("0", "-1"), ("1", "0"), ("1", "1"), ("1", "-1")]
+    assert conservation_check(form, deformed, action, points=points).matched
+    assert calls == {"_invariance_violation": 2, "isotropy_subgroup": 5}
 
 
 def test_global_families():

@@ -1,5 +1,6 @@
 """Homological and radial indices of invariant 1-forms at the origin."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -303,6 +304,47 @@ def test_isotropy_subgroup():
     assert isotropy_subgroup((1, 0), action).order == 2
     assert isotropy_subgroup((1, 1), action).order == 1
     assert isotropy_subgroup((0, Fraction(1, 2)), action).order == 1
+
+
+def _fixing_elements(point, action):
+    """The order of the isotropy subgroup by counting the elements that fix the point."""
+    m = action.group.order
+    support = [i for i, v in enumerate(point) if Fraction(v) != 0]
+    return sum(1 for t in range(m) if all((t * action.weights[i]) % m == 0 for i in support))
+
+
+def test_isotropy_subgroup_counts_the_fixing_elements():
+    # the gcd formula against a scan of the whole group: every order up to
+    # 12, every weight vector in one and two variables, every support, and
+    # a few actions at the largest order a problem may have
+    actions = [
+        DiagonalAction(CyclicGroup(m), weights)
+        for m in range(1, 13)
+        for n in (1, 2)
+        for weights in itertools.product(range(m), repeat=n)
+    ]
+    actions += [
+        DiagonalAction(CyclicGroup(10_000), weights)
+        for weights in ((0,), (1,), (2500, 4000), (6, 15), (9999, 5000), (0, 625))
+    ]
+    for action in actions:
+        for support in itertools.product((0, 1), repeat=action.nvars):
+            point = tuple(Fraction(-c, 3) for c in support)
+            expected = _fixing_elements(point, action)
+            assert isotropy_subgroup(point, action).order == expected, (action, point)
+    with pytest.raises(DimensionMismatchError):
+        isotropy_subgroup((1, 0, 0), DiagonalAction(CyclicGroup(4), (2, 1)))
+
+
+def test_stratum_milnor_numbers_are_at_most_mu():
+    # The restricted local algebra on a fixed subspace is the full one modulo
+    # the variables outside it, so its dimension is at most mu; this is why
+    # index_report never finds a restriction without an isolated zero.
+    for seed in range(200):
+        form, action = random_case(random.Random(seed))
+        strata = index_report(form, action).strata
+        mu = strata[1].milnor_number
+        assert all(data.milnor_number <= mu for data in strata.values()), seed
 
 
 def test_local_index_at_point():
