@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from operator import add, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
@@ -369,12 +370,28 @@ class Polynomial:
         return total
 
     def shift(self, point: Sequence) -> "Polynomial":
-        """Compose with the translation z -> z + point."""
-        subs = [
-            Polynomial.variable(self.nvars, i) + Fraction(point[i])
-            for i in range(self.nvars)
-        ]
-        return self.compose(subs)
+        """Compose with the translation z -> z + point.
+
+        Each monomial expands by the binomial theorem, (z_i + a_i)^e being
+        the sum over k of C(e, k) * a_i^(e - k) * z_i^k, with the powers of
+        a_i built once per monomial and variable.
+        """
+        point = [Fraction(point[i]) for i in range(self.nvars)]
+        zero = (0,) * self.nvars
+        out: dict[Monomial, Fraction] = {}
+        for mon, c in self.terms.items():
+            expanded: dict[Monomial, Fraction] = {(): c}
+            for e, a in zip(mon, point):
+                if not (e and a):
+                    expanded = {m + (e,): v for m, v in expanded.items()}
+                    continue
+                powers = [1]
+                for _ in range(e):
+                    powers.append(powers[-1] * a)
+                row = [(k, comb(e, k) * powers[e - k]) for k in range(e + 1)]
+                expanded = {m + (k,): v * f for m, v in expanded.items() for k, f in row}
+            _add_multiple(out, 1, zero, expanded)
+        return Polynomial._unchecked(self.nvars, out)
 
     def restrict_to(self, keep: Sequence[int]) -> "Polynomial":
         """Set every variable outside ``keep`` to zero and reindex onto ``keep``.
@@ -434,6 +451,9 @@ _TOO_LONG = 10**_MAX_DIGITS
 # 24 s, and (1 + z1)^60*(1 + z2)^60*(1 + z3)^60 (226,981 terms) 0.71 s and
 # 80 MB.
 _MAX_POWER_TERMS = 1_000
+# The most levels parentheses may nest.  The parser descends four frames per
+# level, so a bound on outside input keeps it far from the recursion limit.
+_MAX_NESTING = 100
 
 
 def _power_terms(t: int, e: int) -> int:
@@ -476,6 +496,8 @@ class _Parser:
     expanded, when its term bound is above _MAX_POWER_TERMS; a factor of a
     product is refused where it starts, before it is multiplied in, when the
     terms of the product so far times its own are above that limit.
+    Parentheses nest at most _MAX_NESTING levels; the first '(' past that
+    is refused, whatever the caller's stack depth.
     """
 
     def __init__(self, text: str, nvars: int):
@@ -485,6 +507,7 @@ class _Parser:
         # The empty string marks the end of the input.
         self.tokens = _TOKEN.findall(text) + [""]
         self.k = 0
+        self.depth = 0  # of the parentheses open at token k
 
     def fail(self, message: str, k: int | None = None, offset: int = 0) -> NoReturn:
         """Raise a ParseError at token k (default: the next one), plus offset."""
@@ -560,11 +583,15 @@ class _Parser:
     def atom(self) -> dict:
         token = self.tokens[self.k]
         if token == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nested more than {_MAX_NESTING} levels deep")
+            self.depth += 1
             self.k += 1
             p = self.expr()
             if self.tokens[self.k] != ")":
                 self.fail("expected ')'")
             self.k += 1
+            self.depth -= 1
             return p
         if _is_integer(token):
             c = self.digits(token)

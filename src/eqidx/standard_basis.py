@@ -21,14 +21,14 @@ a race: direct Mora and the homogenizing lift (the global pair loop on the
 homogenized generators, under a global order built from the requested local
 one, which always terminates and, dehomogenized, yields a standard basis of
 the same ideal) take turns of doubling numbers of reduction steps, and the
-first to finish wins.  Every run returns its layout and its live entries,
-and each entry point builds its own result from them: mora_local keeps a
-minimal set of the winner's elements and makes them monic, reducing no
-tails.  The pair loop and both reductions are generators, so direct Mora
-can pause in the middle of a reduction and resume there (the lift pauses
-between divisions).  Quotient extraction walks the staircase of a
-zero-dimensional leading ideal in runs, z^p * z_n^e for e below a top,
-which quotient_basis expands into its standard monomials.
+first to finish wins.  Every run is a generator that yields once per
+reduction step it takes, and _race alone decides how far each run goes.  A
+run returns its layout and its live entries, and each entry point builds
+its own result from them: mora_local keeps a minimal set of the winner's
+elements and makes them monic, reducing no tails.  Quotient extraction
+walks the staircase of a zero-dimensional leading ideal in runs, z^p *
+z_n^e for e below a top, which quotient_basis expands into its standard
+monomials.
 
 A quotient's dimension and weights depend on the leading ideal alone, so
 the index computations call _staircase, which runs the race of mora_local
@@ -61,8 +61,8 @@ from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count
-from math import gcd, inf, lcm
+from itertools import count, repeat
+from math import gcd, lcm
 from operator import itemgetter, mul
 from struct import Struct
 from typing import Callable, Generator, Sequence, TypeVar
@@ -189,13 +189,11 @@ def _bounded(degree: int) -> None:
 # monomial) and its terms, the first two computed once.
 IntTerms = dict[int, int]
 Entry = tuple[int, int, IntTerms]
-# An engine run is a generator that pauses (yields) when its clock, a
-# one-element list holding the reduction steps it may still take, is spent;
-# whoever resumes it first adds steps.  A run on an endless clock, [inf],
-# never pauses.  A local run returns the layout of the requested order and
-# the entries of its live elements, tuples whose first item is the leading
+# An engine run is a generator that yields once for each reduction step it
+# takes; _race decides how far each run goes, and _finish runs one to its
+# end.  A local run returns the layout of the requested order and the
+# entries of its live elements, tuples whose first item is the leading
 # monomial and whose last is the terms.
-Clock = list
 Corner = Callable[[bool], "int | None"]
 Reduce = Callable[[IntTerms, Sequence[Entry], Corner], Generator[None, None, IntTerms]]
 T = TypeVar("T")
@@ -374,11 +372,11 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     layout = _layout(order.kind, order.nvars)
     terms = _integer_terms(p, layout)
     reducers = [_entry(_integer_terms(g, layout), layout) for g in basis if g.terms]
-    h = _finish(_mora_weak_nf(layout, [inf], terms, reducers, _no_corner))
+    h = _finish(_mora_weak_nf(layout, terms, reducers, _no_corner))
     return p if h is terms else _polynomial(layout, h, 1)
 
 
-def _mora_weak_nf(layout: _Layout, clock: Clock, h: IntTerms, reducers: Sequence[Entry],
+def _mora_weak_nf(layout: _Layout, h: IntTerms, reducers: Sequence[Entry],
                   corner: Corner) -> Generator[None, None, IntTerms]:
     """Mora's weak normal form of primitive h by basis entries, fraction-free.
 
@@ -386,9 +384,8 @@ def _mora_weak_nf(layout: _Layout, clock: Clock, h: IntTerms, reducers: Sequence
     (see _step); without a step h itself is returned.  The content is
     divided out after a step that scaled, where the step has touched every
     term anyway, where the terms above the corner are cut, and once at the
-    end, so the result is primitive.  A generator: each step spends one
-    step of ``clock``, and the reduction pauses (yields) when the clock is
-    spent.  ``corner(fresh)`` is the highest corner, or None while none is
+    end, so the result is primitive.  A generator that yields after each
+    step.  ``corner(fresh)`` is the highest corner, or None while none is
     known (see _pair_loop).  A step that would recruit asks for a fresh
     one; once there is one, earlier remainders are no longer recruited,
     since division in the finite space of the monomials up to the corner
@@ -422,9 +419,6 @@ def _mora_weak_nf(layout: _Layout, clock: Clock, h: IntTerms, reducers: Sequence
                 break
         else:
             break
-        if clock[0] <= 0:
-            yield
-        clock[0] -= 1
         cut = None
         # An ecart is never negative, and the multiple of a reducer of ecart
         # zero has no term of degree above lm(h); so only a reducer of
@@ -457,6 +451,7 @@ def _mora_weak_nf(layout: _Layout, clock: Clock, h: IntTerms, reducers: Sequence
             h, _ = _content_free(h)
         for mon in created:
             insort(mons, mon, lo, key=key)
+        yield
     return _content_free(h)[0] if owned else h
 
 
@@ -471,14 +466,23 @@ def _no_corner(fresh: bool) -> None:
     return None
 
 
-def _results(run: Generator[None, None, T]) -> Generator[T | None, None, None]:
-    """The pauses of a run (None each), then its result: no StopIteration to catch."""
-    yield (yield from run)
+def _turn(run: Generator[None, None, T], steps: int) -> T | None:
+    """Resume ``run`` for up to ``steps`` yields: its result if it returns in them, else None."""
+    for _ in range(steps):
+        try:
+            next(run)
+        except StopIteration as stop:
+            return stop.value
+    return None
 
 
 def _finish(run: Generator[None, None, T]) -> T:
-    """The result of a run that never pauses, such as one on an endless clock."""
-    return next(_results(run))
+    """The result of ``run``, resumed until it returns."""
+    while True:
+        try:
+            next(run)
+        except StopIteration as stop:
+            return stop.value
 
 
 def _update_pairs(lms: Sequence[int], live: list[int], pending: dict[tuple[int, int], int],
@@ -653,19 +657,16 @@ def _minimalize(entries: Sequence[tuple], layout: _Layout) -> list[tuple]:
     return kept
 
 
-def _full_reduce(layout: _Layout, clock: Clock, p: IntTerms, reducers: Sequence[Entry],
+def _full_reduce(layout: _Layout, p: IntTerms, reducers: Sequence[Entry],
                  corner: Corner, top: bool = False) -> Generator[None, None, IntTerms]:
     """Full division for the pair loop under a global order (which has no corner).
 
-    A generator: the division's steps are spent from ``clock`` as a whole,
-    after it, and the loop pauses while the clock is overspent.  With
-    ``top`` the division stops at the remainder's leading monomial (see
+    A generator that yields once per step of the division, all after it.
+    With ``top`` the division stops at the remainder's leading monomial (see
     _full_remainder).
     """
     remainder, _, _, steps = _full_remainder(p, reducers, layout, top)
-    clock[0] -= steps
-    while clock[0] <= 0:
-        yield
+    yield from repeat(None, steps)
     return remainder
 
 
@@ -682,7 +683,7 @@ def _global_run(gens: GeneratorSet) -> tuple[_Layout, list[Entry]]:
         raise ValueError("buchberger_global requires a global order")
     layout = _layout(order.kind, order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
-    reduce = partial(_full_reduce, layout, [inf], top=True)
+    reduce = partial(_full_reduce, layout, top=True)
     return layout, _finish(_pair_loop(generators, layout, reduce))
 
 
@@ -715,8 +716,7 @@ def _local_basis(order: MonomialOrder, layout: _Layout, entries: Sequence[tuple]
     return ReducedBasis(elements, order, "local")
 
 
-def _lift_run(gens: GeneratorSet,
-              clock: Clock) -> Generator[None, None, tuple[_Layout, list[tuple]]]:
+def _lift_run(gens: GeneratorSet) -> Generator[None, None, tuple[_Layout, list[tuple]]]:
     """A local standard basis via a Groebner basis of the homogenized generators.
 
     Under the lift's order (see _Layout: total degree, then the exponent of
@@ -726,16 +726,16 @@ def _lift_run(gens: GeneratorSet,
     so the dehomogenized Groebner basis elements lie in the original ideal
     and their leading monomials generate its full local leading ideal
     (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
-    section 1.7).  The global pair loop is a run that spends ``clock``; its
-    elements are returned dehomogenized, as (leading monomial, terms), so,
-    as with direct Mora, the tails are not reduced.
+    section 1.7).  The run is the global pair loop; its elements are
+    returned dehomogenized, as (leading monomial, terms), so, as with direct
+    Mora, the tails are not reduced.
     """
     order = gens.order
     lift = _layout(order.kind, order.nvars, True)
     live = yield from _pair_loop(
         [_integer_terms(_homogenize(g), lift) for g in gens.generators],
         lift,
-        partial(_full_reduce, lift, clock),
+        partial(_full_reduce, lift),
     )
     # Setting t to one, which homogeneous terms survive without colliding:
     # the z fields stay, and t's field and the degree become z's degree.
@@ -750,15 +750,14 @@ def _lift_run(gens: GeneratorSet,
 
 def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
     """The homogenizing lift of ``mora_local``, run to the end on its own."""
-    return _local_basis(gens.order, *_finish(_lift_run(gens, [inf])))
+    return _local_basis(gens.order, *_finish(_lift_run(gens)))
 
 
-def _direct_run(gens: GeneratorSet,
-                clock: Clock) -> Generator[None, None, tuple[_Layout, list[tuple]]]:
-    """Direct Mora with the highest-corner cut, as a run that spends ``clock``."""
+def _direct_run(gens: GeneratorSet) -> Generator[None, None, tuple[_Layout, list[tuple]]]:
+    """Direct Mora with the highest-corner cut, as a run."""
     layout = _layout(gens.order.kind, gens.order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
-    live = yield from _pair_loop(generators, layout, partial(_mora_weak_nf, layout, clock))
+    live = yield from _pair_loop(generators, layout, partial(_mora_weak_nf, layout))
     return layout, live
 
 
@@ -791,21 +790,15 @@ def _race(gens: GeneratorSet) -> tuple[_Layout, list[tuple]]:
     """The layout and live entries of the winner of the race of ``mora_local``."""
     if not gens.order.is_local:
         raise ValueError("mora_local requires a local order")
+    # A run does nothing until it is first resumed, so an ideal that the
+    # direct run finishes in its first turn never starts the lift.
+    runs = (_direct_run(gens), _lift_run(gens))
     steps = _FIRST_SLICE
-    direct_clock = [steps]
-    direct = _results(_direct_run(gens, direct_clock))
-    if (result := next(direct)) is not None:
-        return result
-    # Most ideals finish in the first turn; only the others start the lift.
-    lift_clock = [steps]
-    lift = _results(_lift_run(gens, lift_clock))
-    while (result := next(lift)) is None:
+    while True:
+        for run in runs:
+            if (result := _turn(run, steps)) is not None:
+                return result
         steps *= 2
-        direct_clock[0] += steps
-        if (result := next(direct)) is not None:
-            break
-        lift_clock[0] += steps
-    return result
 
 
 def normal_form(p: Polynomial, basis: ReducedBasis) -> Polynomial:

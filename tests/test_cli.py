@@ -159,6 +159,21 @@ def test_input_error_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "index", "--input", long_literal)
     assert code == 2 and json.loads(out)["error"] == "Parse"
 
+    # Nesting is bounded: a form in 250 nested parentheses is a Parse error,
+    # and a file of 1,000 nested arrays an Input error, under index as under
+    # verify, with an error document rather than a RecursionError.
+    deep_form = write_json(
+        tmp_path,
+        {"group": {"order": 1}, "weights": [0], "form": ["(" * 250 + "z1" + ")" * 250]},
+        "deep_form.json",
+    )
+    deep_file = tmp_path / "deep_file.json"
+    deep_file.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+    for path, error in ((deep_form, "Parse"), (str(deep_file), "Input")):
+        for argv in (("index",), ("verify", "--suite", "coincidence", "--cases", "0")):
+            code, out = run(capsys, *argv, "--input", path)
+            assert code == 2 and json.loads(out)["error"] == error, (path, argv)
+
     # The group order is bounded: the limit itself is accepted, and one
     # above it is refused, by verify as by index, before a character of that
     # many coefficients is allocated.
@@ -385,7 +400,7 @@ def test_verify_report_bytes_are_pinned(capsys):
             "47c615315a09b4e7c5c7e7c21267e4f9bfc41d093680635e74de2828a699fe37",
         ),
         (
-            # the pointwise families shift the form, which runs compose
+            # the pointwise families shift the form, which runs Polynomial.shift
             ["--suite", "conservation"],
             "808890f2f97edd85b5d11775ec8f6c1cd43e8ebf387244739c00d12ce42cbbc8",
         ),

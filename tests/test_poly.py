@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -124,6 +125,29 @@ def test_compose_evaluates_as_substitution_random():
         composed = p.compose(subs)
         assert composed.nvars == m
         assert composed.evaluate(x) == p.evaluate([s.evaluate(x) for s in subs])
+    # shift is compose with z + point, expanded by the binomial theorem.
+    rng = random.Random(12)
+    zeros = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p = random_polynomial(rng, n)
+        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        zeros += point.count(0)
+        translation = [Polynomial.variable(n, i) + point[i] for i in range(n)]
+        assert p.shift(point) == p.compose(translation)
+    assert zeros
+
+
+def test_shift_at_the_point_limit():
+    # The worst point the conservation limits accept (cli._bounded_shifts),
+    # z1^997 - z1 at -32767/32766: expanded by the binomial theorem it takes
+    # a fraction of a second, where a table of the powers of z1 + a as
+    # Fraction polynomials took 50 s and 801 MB.
+    a = Fraction(-32767, 32766)
+    expected = {(k,): comb(997, k) * a ** (997 - k) for k in range(998)}
+    expected[(1,)] -= 1
+    expected[(0,)] -= a
+    assert parse_polynomial("z1^997 - z1", 1).shift([a]).terms == expected
 
 
 def test_monomial_weight():
@@ -249,6 +273,19 @@ def test_parser_errors():
         with pytest.raises(ParseError) as e:
             parse_polynomial(text, 1)
         assert e.value.position == position, text
+    # Parentheses nest at most 100 levels: the deepest text is accepted, and
+    # one level more is refused at its innermost '(', also from a caller
+    # that is itself deep in the stack.
+    assert parse_polynomial("(" * 100 + "z1" + ")" * 100, 1) == parse_polynomial("z1", 1)
+    deeper = "(" * 101 + "z1" + ")" * 101
+
+    def parse_from(frames):
+        return parse_from(frames - 1) if frames else parse_polynomial(deeper, 1)
+
+    for frames in (0, 200):
+        with pytest.raises(ParseError, match="nested more than 100 levels") as e:
+            parse_from(frames)
+        assert e.value.position == 100
 
 
 def test_parser_digit_limit():

@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from heapq import heappop
-from math import gcd, inf
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -376,7 +376,7 @@ def test_weak_normal_form_result_is_primitive():
             standard_basis._entry(standard_basis._integer_terms(g, layout), layout) for g in basis
         ]
         h = standard_basis._finish(
-            standard_basis._mora_weak_nf(layout, [inf], terms, reducers, corner)
+            standard_basis._mora_weak_nf(layout, terms, reducers, corner)
         )
         assert not h or _content(h) == 1
         stepped += h is not terms
@@ -642,7 +642,7 @@ def test_all_local_engines_agree(monkeypatch):
         oracle = local_quotient_dimension(list(form.components))
         for kind in ("negdegrevlex", "negdeglex"):
             gens = GeneratorSet(tuple(form.components), MonomialOrder(kind, form.nvars))
-            runs = [_finish(run(gens, [inf])) for run in (standard_basis._direct_run, _lift_run)]
+            runs = [_finish(run(gens)) for run in (standard_basis._direct_run, _lift_run)]
             for layout, entries in runs:
                 assert _entries_lead_themselves(layout, entries)
             bases = (mora_local(gens), *(_local_basis(gens.order, *run) for run in runs))
@@ -662,7 +662,7 @@ def test_lift_under_negdeglex():
     for kind in ("negdeglex", "negdegrevlex"):
         gens = GeneratorSet(tuple(form.components), MonomialOrder(kind, form.nvars))
         for run in (standard_basis._direct_run, _lift_run):
-            assert _entries_lead_themselves(*_finish(run(gens, [inf])))
+            assert _entries_lead_themselves(*_finish(run(gens)))
     gens = GeneratorSet(tuple(form.components), MonomialOrder("negdeglex", form.nvars))
     for basis in (mora_local(gens), _homogenized_local(gens)):
         assert quotient_basis(basis).dimension == 99
@@ -775,6 +775,62 @@ HARD_IDEALS = (
     ("3*z1^4 + z1^3*z2 + 3*z2^3*z3", "-z2^4", "-3/2*z3^6 + 1/2*z2*z3^3 + 2*z1^3"),
     ("1/2*z1^5 + 2*z1^3*z2^2", "-z2^5 - 2*z1*z3^2", "-3/2*z3^5 - 2*z2^4 - 2*z2"),
 )
+
+
+def test_race_schedule_is_pinned(monkeypatch):
+    # _turn resumes a run for up to the given number of yields, one per
+    # reduction step, and returns its result once it returns.  A run whose
+    # last step uses up its turn returns in its next turn, taking no step.
+    taken = []
+
+    def toy(k):
+        for i in range(k):
+            taken.append(i)
+            yield
+        return k
+
+    run = toy(5)
+    assert standard_basis._turn(run, 3) is None and len(taken) == 3
+    assert standard_basis._turn(run, 2) is None and len(taken) == 5
+    assert standard_basis._turn(run, 1) == 5 and len(taken) == 5
+    assert standard_basis._turn(toy(0), 1) == 0
+    assert standard_basis._finish(toy(7)) == 7
+
+    # Which run of the race finishes, and in which of its turns (256 steps,
+    # doubling each round, the direct run first).  The bases pin only the
+    # winner; this also pins a winner that would finish a round later.
+    turns = []
+    turn = standard_basis._turn
+
+    def recorded(run, steps):
+        result = turn(run, steps)
+        turns.append((run.__name__, steps, result is not None))
+        return result
+
+    monkeypatch.setattr(standard_basis, "_turn", recorded)
+    rng = random.Random("verify-mix:101")
+    form, action = random_case(rng, max_order=6, max_vars=3, max_degree=5)
+    pulled = equivariant_pullback(form, random_shear(rng, action, max_degree=3), action)
+    fuzz_11 = random_case(random.Random("fuzz:11"), max_order=4, max_vars=3, max_degree=5)[0]
+    d, lift = "_direct_run", "_lift_run"
+    for components, schedule in (
+        (HARD_IDEALS[0], [(d, 256, True)]),  # mu=93
+        (HARD_IDEALS[1], [(d, 256, False), (lift, 256, True)]),  # mu=96
+        (  # mu=89
+            HARD_IDEALS[2],
+            [(d, 256, False), (lift, 256, False), (d, 512, False), (lift, 512, True)],
+        ),
+        (fuzz_11.components, [(d, 256, False), (lift, 256, True)]),
+        (
+            pulled.components,
+            [(d, 256, False), (lift, 256, False), (d, 512, False), (lift, 512, False),
+             (d, 1024, True)],
+        ),
+    ):
+        gens = tuple(P(c, 3) if isinstance(c, str) else c for c in components)
+        turns.clear()
+        mora_local(GeneratorSet(gens, MonomialOrder.local_order(3)))
+        assert turns == schedule, components
 
 
 def _basis_digest(bases):
@@ -1175,8 +1231,8 @@ def test_fuzz_local_routes_and_indices():
         gens = GeneratorSet(tuple(form.components), MonomialOrder.local_order(form.nvars))
         hom = hom_index(form, action)
         m, twist = action.group.order, action.volume_weight()
-        run = standard_basis._direct_run(gens, [standard_basis._FIRST_SLICE])
-        direct = next(standard_basis._results(run))
+        run = standard_basis._direct_run(gens)
+        direct = standard_basis._turn(run, standard_basis._FIRST_SLICE)
         if direct is None:
             unfinished.append(seed)
         else:
