@@ -16,12 +16,14 @@ well-order.  Termination can still be impractically slow (a reducer that is
 a unit multiple of a variable with a deep tail makes the leading monomial
 creep down one monomial at a time).  Two cures work together.  The highest
 corner: once the leading monomials contain every monomial of some degree N,
-terms above N are dropped, and the computation runs in a finite space.  And
-a race: direct Mora and the homogenizing lift (the global pair loop on the
-homogenized generators, under a global order built from the requested local
-one, which always terminates and, dehomogenized, yields a standard basis of
-the same ideal) take turns of doubling numbers of reduction steps, and the
-first to finish wins.  Every run is a generator that yields once per
+terms above N are dropped, and the computation runs in a finite space; N is
+sought before a pair of positive ecart is reduced, so the cut applies from
+the first pair after it exists.  And a race: direct Mora and the
+homogenizing lift (the global pair loop on the homogenized generators,
+under a global order built from the requested local one, which always
+terminates and, dehomogenized, yields a standard basis of the same ideal)
+take turns of doubling numbers of reduction steps, and the first to finish
+wins.  Every run is a generator that yields once per
 reduction step it takes, and _race alone decides how far each run goes.  A
 run returns its layout and its live entries, and each entry point builds
 its own result from them: mora_local keeps a minimal set of the winner's
@@ -51,7 +53,10 @@ public helpers (s_polynomial, the normal forms) return exact Fractions (full
 division tracks its scale as two ints, and global_normal_form alone makes
 it a Fraction).  A reduction step costs about its reducer's terms, not the
 whole remainder's: each reduction owns its remainder, steps it in place and
-keeps its monomials sorted by order key.
+keeps its monomials sorted by order key.  Full division in the pair loop
+remembers, for one run, the monomials it found irreducible and how many
+leading monomials had entered then, and tests such a monomial again only
+against the leading monomials that entered since.
 """
 
 from __future__ import annotations
@@ -193,9 +198,11 @@ Entry = tuple[int, int, IntTerms]
 # takes; _race decides how far each run goes, and _finish runs one to its
 # end.  A local run returns the layout of the requested order and the
 # entries of its live elements, tuples whose first item is the leading
-# monomial and whose last is the terms.
+# monomial and whose last is the terms.  The pair loop's reductions are Reduce
+# (see _pair_loop for their arguments).
 Corner = Callable[[bool], "int | None"]
-Reduce = Callable[[IntTerms, Sequence[Entry], Corner], Generator[None, None, IntTerms]]
+Reduce = Callable[[IntTerms, Sequence[Entry], Corner, Sequence[int], dict[int, int]],
+                  Generator[None, None, IntTerms]]
 T = TypeVar("T")
 
 
@@ -313,7 +320,8 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
 
 
 def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
-                    top: bool = False) -> tuple[IntTerms, int, int, int]:
+                    top: bool = False, lms: Sequence[int] = (),
+                    irreducible: dict[int, int] | None = None) -> tuple[IntTerms, int, int, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
     The division steps a copy of p in place, where the terms no reducer
@@ -324,8 +332,23 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
     divides, which is then the leading monomial of the remainder.  Returns
     the primitive remainder, the positive ints num and den with remainder =
     num/den * (exact remainder of p), and the number of steps.
+
+    In the pair loop the reducers are its live elements, ``lms`` is every
+    leading monomial it has inserted, in order, and ``irreducible`` is its
+    memo, kept for one run: a monomial that no reducer divides is recorded
+    with k = len(lms).  An element leaves the live ones only when a later
+    leading monomial divides its own (a global order has no corner to cut
+    at), so no lms[:k] divides that monomial, and later it is tested only
+    against lms[k:]: it becomes reducible only when one of them divides it.
+    Where one does, the reducers are scanned in full, so the first divisor
+    in their order, every step and the remainder are those of a division
+    without the memo.  By default the memo is fresh, which is the same as
+    none: a division meets each monomial once.
     """
     key, guard = layout.key, layout.guard
+    if irreducible is None:
+        irreducible = {}
+    known = len(lms)
     work = dict(p)
     # The monomials of work still to divide in increasing order, next to
     # stale entries whose monomial a step cancelled; each step adds the
@@ -336,6 +359,12 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
     while mons:
         lm = mons.pop()
         if lm not in work:
+            continue
+        k = irreducible.get(lm)
+        if k is not None and all((lm - m) & guard for m in lms[k:]):
+            irreducible[lm] = known
+            if top:
+                break
             continue
         for lm_g, _, g in reducers:
             if not (lm - lm_g) & guard:
@@ -350,6 +379,7 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
                     den *= c
                 break
         else:
+            irreducible[lm] = known
             if top:
                 break
     work, c = _content_free(work)
@@ -549,14 +579,16 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
     """Buchberger's pair loop with Gebauer and Moeller's pruning, under any order.
 
     The generators are primitive integer terms.  ``reduce(p, reducers,
-    corner)`` is a generator that takes a primitive S-polynomial to a
-    primitive remainder whose leading monomial no reducer's leading monomial
-    divides, or to zero.  The loop is a generator too: it pauses only where
+    corner, lms, irreducible)`` is a generator that takes a primitive
+    S-polynomial to a primitive remainder whose leading monomial no
+    reducer's leading monomial divides, or to zero; it is also given the
+    loop's ``highest_corner``, its leading monomials in insertion order and
+    one memo dict for the run, which full division uses (see
+    _full_remainder).  The loop is a generator too: it pauses only where
     ``reduce`` does, and returns the entries of the elements that still take
     part in reduction; their leading monomials generate the leading ideal.
 
-    Under a local degree order the loop cuts at the highest corner, once
-    ``reduce`` asks for one (only Mora's weak normal form does).  Once the
+    Under a local degree order the loop cuts at the highest corner.  Once the
     live leading monomials contain every monomial of some degree N, so does
     the leading ideal, and then m^N lies in the ideal of the local ring
     (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
@@ -571,9 +603,11 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
     staircase costs about as much as a small ideal's whole computation; so
     ``highest_corner(fresh)`` returns the last one found, and walks for a
     fresh one only when asked for it and a leading monomial entered since.
-    It is asked for when a polynomial reaches past the last corner and when
-    a weak normal form would recruit (before any corner is known): only then
-    does a tighter corner save work.
+    While none is known it is asked for before each pair with an element of
+    positive ecart (under a global order, and in the homogeneous lift, every
+    ecart is zero) and when a weak normal form would recruit; once one is
+    known, when a polynomial reaches past it.  Only then does a corner, or a
+    tighter one, save work.
     """
     shift = layout.shift
     elements: list[Entry] = []
@@ -583,6 +617,7 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
     queue: list = []
     corner: int | None = None
     stale = False  # a leading monomial entered since the corner was last sought
+    irreducible: dict[int, int] = {}  # see _full_remainder
 
     def highest_corner(fresh: bool) -> int | None:
         nonlocal corner, stale
@@ -620,21 +655,24 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
             insert(g)
     while queue:
         degree, _, i, j = heappop(queue)
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
+            continue
+        if corner is None and (elements[i][1] or elements[j][1]):
+            highest_corner(True)
         if corner is not None and degree > corner:
             # Pairs leave lowest lcm degree first, and every term of an
             # S-polynomial has at least the degree of its lcm.
             break
-        lcm = pending.pop((i, j), None)
-        if lcm is None:
-            continue
         (lm_i, ec_i, f), (lm_j, ec_j, g) = elements[i], elements[j]
-        _bounded(degree + max(ec_i, ec_j))
+        ecart = max(ec_i, ec_j)
+        _bounded(degree + ecart)
         s, _ = _cancel(f, lm_i, g, lm_j, lcm)
-        if (ec_i or ec_j) and corner is not None and degree + max(ec_i, ec_j) > corner:
+        if ecart and corner is not None and degree + ecart > corner:
             s = _truncated(s, highest_corner(True), shift)
         else:
             s, _ = _content_free(s)
-        h = yield from reduce(s, [elements[k] for k in live], highest_corner)
+        h = yield from reduce(s, [elements[k] for k in live], highest_corner, lms, irreducible)
         if h:
             insert(h)
     return [elements[k] for k in live]
@@ -657,15 +695,16 @@ def _minimalize(entries: Sequence[tuple], layout: _Layout) -> list[tuple]:
     return kept
 
 
-def _full_reduce(layout: _Layout, p: IntTerms, reducers: Sequence[Entry],
-                 corner: Corner, top: bool = False) -> Generator[None, None, IntTerms]:
+def _full_reduce(layout: _Layout, p: IntTerms, reducers: Sequence[Entry], corner: Corner,
+                 lms: Sequence[int], irreducible: dict[int, int],
+                 top: bool = False) -> Generator[None, None, IntTerms]:
     """Full division for the pair loop under a global order (which has no corner).
 
     A generator that yields once per step of the division, all after it.
     With ``top`` the division stops at the remainder's leading monomial (see
-    _full_remainder).
+    _full_remainder, which also describes ``lms`` and ``irreducible``).
     """
-    remainder, _, _, steps = _full_remainder(p, reducers, layout, top)
+    remainder, _, _, steps = _full_remainder(p, reducers, layout, top, lms, irreducible)
     yield from repeat(None, steps)
     return remainder
 
@@ -757,7 +796,12 @@ def _direct_run(gens: GeneratorSet) -> Generator[None, None, tuple[_Layout, list
     """Direct Mora with the highest-corner cut, as a run."""
     layout = _layout(gens.order.kind, gens.order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
-    live = yield from _pair_loop(generators, layout, partial(_mora_weak_nf, layout))
+
+    def reduce(p: IntTerms, reducers: Sequence[Entry], corner: Corner,
+               lms: Sequence[int], irreducible: dict[int, int]) -> Generator[None, None, IntTerms]:
+        return _mora_weak_nf(layout, p, reducers, corner)
+
+    live = yield from _pair_loop(generators, layout, reduce)
     return layout, live
 
 

@@ -344,6 +344,43 @@ def test_full_remainder_is_primitive_against_fraction_oracle(monkeypatch):
     # integral with content above 1.
     assert sum(a != 1 for a in multipliers) == 33
     assert sum(c > 1 for c in contents) == 37
+    # Divisions that share one memo while the reducer set grows, as in the
+    # pair loop: each case's reducers enter one at a time, one leaves when a
+    # newer leading monomial divides its own, and after each entry the
+    # dividend is divided again.  Each division must still be the oracle's.
+    kept = stepped = 0
+    for p, basis, order in cases:
+        layout = standard_basis._layout(order.kind, order.nvars)
+        terms = standard_basis._integer_terms(p, layout)
+        entries = [
+            standard_basis._entry(standard_basis._integer_terms(g, layout), layout) for g in basis
+        ]
+        lms = [e[0] for e in entries]
+        memo = _RecordingMemo()
+        for t in range(1, len(entries) + 1):
+            live = [
+                i
+                for i in range(t)
+                if all((lms[j] - lms[i]) & layout.guard for j in range(i + 1, t))
+            ]
+            memo.found.clear()
+            remainder, num, den, steps = standard_basis._full_remainder(
+                terms, [entries[i] for i in live], layout, False, lms[:t], memo
+            )
+            exact, exact_steps = fraction_full_remainder(
+                Polynomial(p.nvars, {layout.unpack(mon): Fraction(c) for mon, c in terms.items()}),
+                [basis[i] for i in live],
+                order,
+            )
+            assert steps == exact_steps
+            remainder = dict(zip(map(layout.unpack, remainder), remainder.values()))
+            assert remainder == {mon: Fraction(num, den) * c for mon, c in exact.terms.items()}
+            counts = _memo_counts(memo, lms[:t])
+            kept += counts[0]
+            stepped += counts[1]
+    # Monomials the memo spared a scan of every reducer, and monomials a
+    # newer leading monomial made reducible.
+    assert (kept, stepped) == (122, 89)
 
 
 def test_weak_normal_form_result_is_primitive():
@@ -849,18 +886,8 @@ def _leading_digest(bases):
     return digest.hexdigest()
 
 
-def test_engine_bases_are_pinned(monkeypatch):
-    # Both engines' bases on a fixed corpus.  A reduced Groebner basis is
-    # canonical, so every global element is pinned, as recorded when every
-    # reduction step ran in exact rational arithmetic.  A minimal standard
-    # basis is canonical only in its leading ideal: its tails depend on the
-    # route that won and on where the highest corner cut them.  So the local
-    # bases pin their leading monomials (recorded before the corner and the
-    # race), the number of ideals the lift wins, and, on the ideals small
-    # enough for the truncation oracle, that every element lies in its ideal.
-    # Their elements, and those of the lift run alone, are pinned as well
-    # (recorded with the race and the corner in place): a change that only
-    # makes reduction steps cheaper keeps every step, and so every tail.
+def _pinned_corpus():
+    """The local and the global generator lists whose bases test_engine_bases_are_pinned pins."""
     local = [
         random_case(random.Random(s), max_order=6, max_vars=3, max_degree=6)[0].components
         for s in range(40)
@@ -873,6 +900,22 @@ def test_engine_bases_are_pinned(monkeypatch):
         polys.append(_random_polys(rng, n, rng.randint(2, 3), 3))
         polys.append([_homogenize(p) for p in _random_polys(rng, n, rng.randint(2, 4), 2)])
     polys += [_deformed_pure_power_form(random.Random(100 + s), 3) for s in range(8)]
+    return local, polys
+
+
+def test_engine_bases_are_pinned(monkeypatch):
+    # Both engines' bases on a fixed corpus.  A reduced Groebner basis is
+    # canonical, so every global element is pinned, as recorded when every
+    # reduction step ran in exact rational arithmetic.  A minimal standard
+    # basis is canonical only in its leading ideal: its tails depend on the
+    # route that won and on where the highest corner cut them.  So the local
+    # bases pin their leading monomials (recorded before the corner and the
+    # race), the number of ideals the lift wins, and, on the ideals small
+    # enough for the truncation oracle, that every element lies in its ideal.
+    # Their elements, and those of the lift run alone, are pinned as well
+    # (recorded with the race and the corner in place): a change that only
+    # makes reduction steps cheaper keeps every step, and so every tail.
+    local, polys = _pinned_corpus()
     lifts = _counted_lifts(monkeypatch)
     local_bases = [
         mora_local(GeneratorSet(tuple(c), MonomialOrder.local_order(c[0].nvars))) for c in local
@@ -915,6 +958,128 @@ def test_engine_bases_are_pinned(monkeypatch):
             assert truncated_quotient_dimension(list(gens) + [g], bound) == dimension
         checked += 1
     assert checked == 34
+
+
+class _RecordingMemo(dict):
+    """A memo of full division (see _full_remainder) that records what its lookups find."""
+
+    def __init__(self):
+        super().__init__()
+        self.found = []
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is not None:
+            self.found.append((key, value))
+        return value
+
+
+def _memo_counts(memo, lms):
+    """Of the lookups ``memo`` recorded, how many found no newer divisor and how many one.
+
+    A monomial that stays irreducible is recorded again with len(lms); one
+    that a newer leading monomial divides is stepped and keeps its old k.
+    """
+    stepped = sum(memo[mon] == k < len(lms) for mon, k in memo.found)
+    return len(memo.found) - stepped, stepped
+
+
+def test_division_memo_changes_no_division(monkeypatch):
+    # Full division in the pair loop keeps one memo per run of the monomials
+    # it found irreducible, and tests one again only against the leading
+    # monomials that entered since.  On the pinned corpus every division of
+    # the lift and of the global run is made a second time with a fresh
+    # memo, which is a division without one: the remainder, its scale and
+    # the steps must be the same.  A recording memo stands in for each run's
+    # own, and counts the monomials found in it.
+    full_remainder = standard_basis._full_remainder
+    memos = {}
+    counts = [0, 0, 0]
+
+    def both(p, reducers, layout, top=False, lms=(), irreducible=None):
+        # Holding the run's own memo keeps its id from naming another run.
+        _, memo = memos.setdefault(id(irreducible), (irreducible, _RecordingMemo()))
+        memo.found.clear()
+        result = full_remainder(p, reducers, layout, top, lms, memo)
+        assert result == full_remainder(p, reducers, layout, top, lms, {})
+        kept, stepped = _memo_counts(memo, lms)
+        counts[0] += 1
+        counts[1] += kept
+        counts[2] += stepped
+        return result
+
+    monkeypatch.setattr(standard_basis, "_full_remainder", both)
+    local, polys = _pinned_corpus()
+    for gens in local:
+        _finish(_lift_run(GeneratorSet(tuple(gens), MonomialOrder.local_order(gens[0].nvars))))
+    for gens in polys:
+        standard_basis._global_run(
+            GeneratorSet(tuple(gens), MonomialOrder.global_order(gens[0].nvars))
+        )
+    # Divisions, monomials the memo spared a scan of every reducer, and
+    # monomials a newer leading monomial made reducible.
+    assert counts == [615, 30, 239]
+
+
+def test_hard_ideals_on_each_run_alone():
+    # Each run of the race, run to its end alone, finds one minimal leading
+    # ideal for each hard ideal, with mu = 93, 96 and 89: direct Mora alone
+    # confirms the lift's answer on mu=89, which the race gives the lift.
+    for texts, mu in zip(HARD_IDEALS, (93, 96, 89)):
+        gens = local_gens(texts, 3)
+        bases = [
+            _local_basis(gens.order, *_finish(run(gens)))
+            for run in (standard_basis._direct_run, _lift_run)
+        ]
+        assert len({frozenset(basis.leading_monomials()) for basis in bases}) == 1
+        assert [quotient_basis(basis).dimension for basis in bases] == [mu, mu]
+
+
+def _entries_digest(runs):
+    """A digest of runs' (layout, entries), each entry's monomials unpacked, in order."""
+    digest = hashlib.sha256()
+    for layout, entries in runs:
+        for entry in sorted(entries, key=lambda e: layout.key(e[0])):
+            terms = sorted(zip(map(layout.unpack, entry[-1]), entry[-1].values()))
+            digest.update(repr((layout.unpack(entry[0]), terms)).encode() + b"\n")
+        digest.update(b";\n")
+    return digest.hexdigest()
+
+
+def test_corner_at_the_pair_is_pinned():
+    # The pair loop seeks the highest corner before it reduces a pair with an
+    # element of positive ecart, so the cut applies from the first pair after
+    # the corner exists.  On pullback-101's pulled-back form the direct run
+    # alone takes 948 reduction steps; sought only where a weak normal form
+    # would recruit or a polynomial reaches past it, the corner appeared at
+    # the last step, and the run took 982.
+    rng = random.Random("verify-mix:101")
+    form, action = random_case(rng, max_order=6, max_vars=3, max_degree=5)
+    pulled = equivariant_pullback(form, random_shear(rng, action, max_degree=3), action)
+    run = standard_basis._direct_run(GeneratorSet(pulled.components, MonomialOrder.local_order(3)))
+    assert sum(1 for _ in run) == 948
+    # Of the generated ideals digest:0-299 (without 4), these four alone get
+    # other race entries when the corner is sought at the pair: each keeps
+    # its leading monomials, and its entries are those it gets when the
+    # corner is sought only at a recruit or past the corner, cut at the
+    # corner N (terms above N dropped, content divided out).
+    runs, corners = [], []
+    for s in (102, 103, 160, 245):
+        form, _ = random_case(random.Random(f"digest:{s}"))
+        layout, entries = standard_basis._race(
+            GeneratorSet(tuple(form.components), MonomialOrder.local_order(form.nvars))
+        )
+        lms = [layout.unpack(e[0]) for e in standard_basis._minimalize(entries, layout)]
+        runs_of_lms = standard_basis._standard_runs(lms, layout.nvars)
+        corner = max(sum(prefix) + top for prefix, top in runs_of_lms)
+        assert all(max(e[-1]) >> layout.shift <= corner for e in entries)
+        runs.append((layout, entries))
+        corners.append(corner)
+    assert corners == [9, 7, 6, 8]
+    assert (
+        _entries_digest(runs)
+        == "af9b2cfd532d495d4c38b989af9bbfb82e5b018e01b7650ed479a0099cc31f4a"
+    )
 
 
 def _conservation_problems(count):
