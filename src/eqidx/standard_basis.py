@@ -1,40 +1,41 @@
 """Groebner and local standard bases of polynomial ideals over the rationals.
 
-Both engines run one pair loop: Buchberger's algorithm with pairs taken
-lowest lcm degree first and pruned by Gebauer and Moeller's criteria, which
-discard pairs that would reduce to zero under any monomial order.  They
-differ only in the reduction; both keep their elements primitive.  The
-global engine, under a degree order, divides each S-polynomial down to its
-remainder's leading monomial; buchberger_global then interreduces the
-minimal elements into the reduced Groebner basis.  The local engine
-computes a minimal standard basis under a negative-degree order using
-Mora's weak normal form, whose reducer selection minimizes the ecart (the
-gap between the degree of a polynomial and the degree of its leading
-monomial) and which may recruit earlier partial remainders as reducers;
-with that discipline division terminates even though the ordering is not a
-well-order.  Termination can still be impractically slow (a reducer that is
-a unit multiple of a variable with a deep tail makes the leading monomial
-creep down one monomial at a time).  Two cures work together.  The highest
-corner: once the leading monomials contain every monomial of some degree N,
-terms above N are dropped, and the computation runs in a finite space; N is
-sought before a pair of positive ecart is reduced, so the cut applies from
-the first pair after it exists.  And a race: direct Mora and the
-homogenizing lift (the global pair loop on the homogenized generators,
-under a global order built from the requested local one, which always
-terminates and, dehomogenized, yields a standard basis of the same ideal)
-take turns of doubling numbers of reduction steps, and the first to finish
-wins.  Every run is a generator that yields once per
-reduction step it takes, and _race alone decides how far each run goes.  A
-run returns its layout and its live entries, and each entry point builds
-its own result from them: mora_local keeps a minimal set of the winner's
-elements and makes them monic, reducing no tails.  Quotient extraction
-walks the staircase of a zero-dimensional leading ideal in runs, z^p *
-z_n^e for e below a top, which quotient_basis expands into its standard
-monomials.
+Both engines run one pair loop with one reduction: Buchberger's algorithm
+with pairs taken lowest lcm degree first and pruned by Gebauer and
+Moeller's criteria, which discard pairs that would reduce to zero under any
+monomial order, and Mora's weak normal form, whose reducer selection
+minimizes the ecart (the gap between the degree of a polynomial and the
+degree of its leading monomial) and which may recruit earlier partial
+remainders as reducers; with that discipline division terminates even
+though a local ordering is not a well-order.  Under a global degree order
+every ecart is zero, so the weak normal form never recruits, never seeks a
+corner and reduces the leading term alone, which is Buchberger's reduction
+(Greuel and Pfister, A Singular Introduction to Commutative Algebra,
+sections 1.6 and 1.7); buchberger_global then interreduces the minimal
+elements into the reduced Groebner basis.  Under a negative-degree order
+the run computes a minimal standard basis.  Termination can still be
+impractically slow (a reducer that is a unit multiple of a variable with a
+deep tail makes the leading monomial creep down one monomial at a time).
+Two cures work together.  The highest corner: once the leading monomials
+contain every monomial of some degree N, terms above N are dropped, and the
+computation runs in a finite space; N is sought before a pair of positive
+ecart is reduced, so the cut applies from the first pair after it exists.
+And a race: direct Mora and the homogenizing lift (the pair loop on the
+homogenized generators with full division, under a global order built
+from the requested local one, which always terminates and, dehomogenized,
+yields a standard basis of the same ideal) take turns of doubling numbers
+of reduction steps, and the first to finish wins.  Every run is a
+generator that yields once per reduction step it takes, and _race alone
+decides how far each run goes.  A run returns its layout and its live
+entries, and each entry point builds its own result from them: mora_local
+keeps a minimal set of the winner's elements and makes them monic, reducing
+no tails.  Quotient extraction walks the staircase of a zero-dimensional
+leading ideal in runs, z^p * z_n^e for e below a top, which quotient_basis
+expands into its standard monomials.
 
 A quotient's dimension and weights depend on the leading ideal alone, so
 the index computations call _staircase, which runs the race of mora_local
-or the pair loop of buchberger_global, as the order asks, and walks the
+or the run of buchberger_global, as the order asks, and walks the
 staircase of the minimal leading monomials without building a Polynomial.
 
 Fractions and exponent tuples appear only at the Polynomial boundary.
@@ -53,7 +54,8 @@ public helpers (s_polynomial, the normal forms) return exact Fractions (full
 division tracks its scale as two ints, and global_normal_form alone makes
 it a Fraction).  A reduction step costs about its reducer's terms, not the
 whole remainder's: each reduction owns its remainder, steps it in place and
-keeps its monomials sorted by order key.  Full division in the pair loop
+keeps its monomials sorted by order key.  Full division serves only the
+lift, the final interreduction and the public helpers; in the lift it
 remembers, for one run, the monomials it found irreducible and how many
 leading monomials had entered then, and tests such a monomial again only
 against the leading monomials that entered since.
@@ -320,7 +322,7 @@ def global_normal_form(p: Polynomial, basis: Sequence[Polynomial],
 
 
 def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
-                    top: bool = False, lms: Sequence[int] = (),
+                    lms: Sequence[int] = (),
                     irreducible: dict[int, int] | None = None) -> tuple[IntTerms, int, int, int]:
     """Fraction-free full division of primitive p by basis entries under a global order.
 
@@ -328,14 +330,14 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
     divides stay.  A step that scales (a > 1) scales them too, and then the
     content is divided out; the remainder is made primitive once more at
     the end.  The monomials still to divide are kept sorted by order key.
-    With ``top`` the division stops at the first monomial no reducer
-    divides, which is then the leading monomial of the remainder.  Returns
-    the primitive remainder, the positive ints num and den with remainder =
-    num/den * (exact remainder of p), and the number of steps.
+    Returns the primitive remainder, the positive ints num and den with
+    remainder = num/den * (exact remainder of p), and the number of steps.
+    It serves the lift's pair loop, buchberger_global's interreduction and
+    global_normal_form.
 
-    In the pair loop the reducers are its live elements, ``lms`` is every
-    leading monomial it has inserted, in order, and ``irreducible`` is its
-    memo, kept for one run: a monomial that no reducer divides is recorded
+    In the lift's pair loop the reducers are its live elements, ``lms`` is
+    every leading monomial it has inserted, in order, and ``irreducible`` is
+    its memo, kept for one run: a monomial that no reducer divides is recorded
     with k = len(lms).  An element leaves the live ones only when a later
     leading monomial divides its own (a global order has no corner to cut
     at), so no lms[:k] divides that monomial, and later it is tested only
@@ -363,8 +365,6 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
         k = irreducible.get(lm)
         if k is not None and all((lm - m) & guard for m in lms[k:]):
             irreducible[lm] = known
-            if top:
-                break
             continue
         for lm_g, _, g in reducers:
             if not (lm - lm_g) & guard:
@@ -380,8 +380,6 @@ def _full_remainder(p: IntTerms, reducers: Sequence[Entry], layout: _Layout,
                 break
         else:
             irreducible[lm] = known
-            if top:
-                break
     work, c = _content_free(work)
     return work, num, den * c, steps
 
@@ -394,15 +392,19 @@ def mora_normal_form(p: Polynomial, basis: Sequence[Polynomial],
     monomial of the basis (or zero).  Unlike ordinary division the tail may
     keep reducible monomials: there exists a unit u with u*p = sum + result,
     which is exactly what leading-ideal and dimension computations need.
-    After a reduction step the result is primitive; without one it is p
-    itself, the same object.
+    Once the basis's leading monomials hold a pure power of every variable,
+    m^N lies in its ideal for their highest corner N (see _highest_corner),
+    and a step that could reach past N drops the terms of degree above N,
+    so the division runs in a finite space.  After a reduction step the
+    result is primitive; without one it is p itself, the same object.
     """
     if not order.is_local:
         raise ValueError("Mora normal form requires a local order")
     layout = _layout(order.kind, order.nvars)
     terms = _integer_terms(p, layout)
     reducers = [_entry(_integer_terms(g, layout), layout) for g in basis if g.terms]
-    h = _finish(_mora_weak_nf(layout, terms, reducers, _no_corner))
+    corner = _highest_corner([layout.unpack(e[0]) for e in reducers], order.nvars)
+    h = _finish(_mora_weak_nf(layout, terms, reducers, lambda fresh: corner))
     return p if h is terms else _polynomial(layout, h, 1)
 
 
@@ -491,11 +493,6 @@ def _truncated(terms: IntTerms, corner: int, shift: int) -> IntTerms:
     return _content_free({mon: c for mon, c in terms.items() if mon < above})[0]
 
 
-def _no_corner(fresh: bool) -> None:
-    """The corner of a division outside the pair loop: none is known."""
-    return None
-
-
 def _turn(run: Generator[None, None, T], steps: int) -> T | None:
     """Resume ``run`` for up to ``steps`` yields: its result if it returns in them, else None."""
     for _ in range(steps):
@@ -533,7 +530,7 @@ def _update_pairs(lms: Sequence[int], live: list[int], pending: dict[tuple[int, 
     and in reduction.  Kept pairs are queued lowest lcm degree first, then
     by order key, then by age.
     """
-    guard, fields, shift = layout.guard, layout.fields, layout.shift
+    guard, shift = layout.guard, layout.shift
     t = len(lms) - 1
     m = lms[t]
     for pair, lcm in list(pending.items()):
@@ -541,18 +538,13 @@ def _update_pairs(lms: Sequence[int], live: list[int], pending: dict[tuple[int, 
             i, j = pair
             if layout.lcm(lms[i], m) != lcm and layout.lcm(lms[j], m) != lcm:
                 del pending[pair]
-    # The new pairs by lcm (see _Layout.lcm, here with m's fields fixed):
-    # the last live element with each lcm, and the lcms of coprime pairs.
-    y = m & fields
-    y_guarded = y | guard
+    # The new pairs by lcm: the last live element with each lcm, and the
+    # lcms of coprime pairs.
     last: dict[int, int] = {}
     coprime = set()
     for i in live:
         a = lms[i]
-        x = a & fields
-        ge = (y_guarded - x) & guard
-        f = x ^ (x ^ y) & ge - (ge >> _FIELD - 1)
-        lcm = f | f % _ONES << shift
+        lcm = layout.lcm(a, m)
         if a + m == lcm:
             coprime.add(lcm)
         last[lcm] = i
@@ -583,10 +575,12 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
     S-polynomial to a primitive remainder whose leading monomial no
     reducer's leading monomial divides, or to zero; it is also given the
     loop's ``highest_corner``, its leading monomials in insertion order and
-    one memo dict for the run, which full division uses (see
-    _full_remainder).  The loop is a generator too: it pauses only where
-    ``reduce`` does, and returns the entries of the elements that still take
-    part in reduction; their leading monomials generate the leading ideal.
+    one memo dict for the run.  Direct runs, local or global, reduce by
+    Mora's weak normal form, which uses the corner; the lift divides fully
+    and uses the memo (see _full_remainder).  The loop is a generator too:
+    it pauses only where ``reduce`` does, and returns the entries of the
+    elements that still take part in reduction; their leading monomials
+    generate the leading ideal.
 
     Under a local degree order the loop cuts at the highest corner.  Once the
     live leading monomials contain every monomial of some degree N, so does
@@ -594,11 +588,10 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
     (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
     section 1.7): the terms of degree above N can be dropped from any
     element without changing the ideal or any leading monomial (dropping
-    those of degree N too would delete leading monomials of degree N).  The
-    corner N is one more than the top degree of a standard monomial of the
-    live leading ideal.  Terms of degree above it
-    are dropped from live elements, S-polynomials and remainders, and pairs
-    whose lcm lies above it are not reduced at all.  A corner found earlier
+    those of degree N too would delete leading monomials of degree N).  N is
+    the corner of the live leading monomials (see _highest_corner).  Terms
+    of degree above it are dropped from live elements, S-polynomials and
+    remainders, and pairs whose lcm lies above it are not reduced at all.  A corner found earlier
     stays valid, if less tight, as leading monomials enter, and walking the
     staircase costs about as much as a small ideal's whole computation; so
     ``highest_corner(fresh)`` returns the last one found, and walks for a
@@ -623,12 +616,9 @@ def _pair_loop(generators: Sequence[IntTerms], layout: _Layout,
         nonlocal corner, stale
         if fresh and stale:
             stale = False
-            n = layout.nvars
-            leading = [layout.unpack(lms[k]) for k in live]
-            if _missing_power(leading, n) is not None:
+            corner = _highest_corner([layout.unpack(lms[k]) for k in live], layout.nvars)
+            if corner is None:
                 return None
-            runs = _standard_runs(leading, n)
-            corner = max([sum(prefix) + top for prefix, top in runs], default=0)
             kept = []
             for k in live:
                 lm, ec, g = elements[k]
@@ -696,39 +686,27 @@ def _minimalize(entries: Sequence[tuple], layout: _Layout) -> list[tuple]:
 
 
 def _full_reduce(layout: _Layout, p: IntTerms, reducers: Sequence[Entry], corner: Corner,
-                 lms: Sequence[int], irreducible: dict[int, int],
-                 top: bool = False) -> Generator[None, None, IntTerms]:
-    """Full division for the pair loop under a global order (which has no corner).
+                 lms: Sequence[int], irreducible: dict[int, int]) -> Generator[None, None, IntTerms]:
+    """Full division for the lift's pair loop (a global order, which has no corner).
 
-    A generator that yields once per step of the division, all after it.
-    With ``top`` the division stops at the remainder's leading monomial (see
-    _full_remainder, which also describes ``lms`` and ``irreducible``).
+    A generator that yields once per step of the division, all after it
+    (see _full_remainder, which also describes ``lms`` and ``irreducible``).
     """
-    remainder, _, _, steps = _full_remainder(p, reducers, layout, top, lms, irreducible)
+    remainder, _, _, steps = _full_remainder(p, reducers, layout, lms, irreducible)
     yield from repeat(None, steps)
     return remainder
 
 
-def _global_run(gens: GeneratorSet) -> tuple[_Layout, list[Entry]]:
-    """The pair loop under the (global) order of ``gens``: its layout and live entries.
-
-    Each division stops at the remainder's leading monomial (see
-    _full_remainder): the tails stay unreduced, and each remainder has the
-    leading monomial full division would give it, which is all the pair
-    criteria and the leading ideal need.
-    """
-    order = gens.order
-    if order.is_local:
-        raise ValueError("buchberger_global requires a global order")
-    layout = _layout(order.kind, order.nvars)
-    generators = [_integer_terms(g, layout) for g in gens.generators]
-    reduce = partial(_full_reduce, layout, top=True)
-    return layout, _finish(_pair_loop(generators, layout, reduce))
-
-
 def buchberger_global(gens: GeneratorSet) -> ReducedBasis:
-    """The reduced Groebner basis of the ideal under the (global) order of ``gens``."""
-    layout, live = _global_run(gens)
+    """The reduced Groebner basis of the ideal under the (global) order of ``gens``.
+
+    The run is ``_direct_run``, the direct run of ``mora_local``'s race:
+    under a degree order its weak normal form reduces the leading term
+    alone, which is Buchberger's reduction, and leaves the tails.
+    """
+    if gens.order.is_local:
+        raise ValueError("buchberger_global requires a global order")
+    layout, live = _finish(_direct_run(gens))
     minimal = _minimalize(live, layout)
     # Once no leading monomial divides another, reduction keeps every leading
     # term, so one pass leaves every term of every element irreducible.
@@ -793,7 +771,13 @@ def _homogenized_local(gens: GeneratorSet) -> ReducedBasis:
 
 
 def _direct_run(gens: GeneratorSet) -> Generator[None, None, tuple[_Layout, list[tuple]]]:
-    """Direct Mora with the highest-corner cut, as a run."""
+    """The pair loop under the order of ``gens`` with Mora's weak normal form, as a run.
+
+    Under a local order this is direct Mora with the highest-corner cut.
+    Under a global degree order every ecart is zero, so the weak normal form
+    never recruits or seeks a corner and reduces the leading term alone:
+    the run is Buchberger's algorithm, with the tails left unreduced.
+    """
     layout = _layout(gens.order.kind, gens.order.nvars)
     generators = [_integer_terms(g, layout) for g in gens.generators]
 
@@ -814,13 +798,13 @@ def mora_local(gens: GeneratorSet) -> ReducedBasis:
     """A minimal standard basis of the ideal in the local ring at the origin.
 
     Two runs race, and the first to finish returns the basis.  The direct
-    run is the pair loop of ``buchberger_global``, Gebauer and Moeller's
-    pruning included, with Mora's weak normal form in place of ordinary
-    division (the pair criteria and the weak normal form hold under any
-    monomial order) and the highest-corner cut.  The other is the
-    homogenizing lift: a global Groebner basis of the homogenized
-    generators, which always terminates.  The runs take turns of
-    reduction steps, the direct run first; the turns double in length each
+    run is the run of ``buchberger_global``, the pair loop with Gebauer and
+    Moeller's pruning and Mora's weak normal form (the pair criteria and the
+    weak normal form hold under any monomial order), here with the
+    highest-corner cut.  The other is the homogenizing lift: a global
+    Groebner basis of the homogenized generators by full division, which
+    always terminates.  The runs take turns of reduction steps, the direct
+    run first; the turns double in length each
     round, so the loser spends at most about twice the winner's steps, and
     the winner depends on step counts alone.  Whichever run wins, the result
     is minimal and monic and its tails are not reduced, which is enough to
@@ -858,6 +842,19 @@ def _missing_power(lms: Sequence[Monomial], n: int) -> int | None:
         if not any(lm[i] == sum(lm) for lm in lms):
             return i
     return None
+
+
+def _highest_corner(lms: Sequence[Monomial], n: int) -> int | None:
+    """One more than the top degree of a standard monomial of the ideal of ``lms``.
+
+    The ideal of ``lms`` contains every monomial of that degree N, so where
+    ``lms`` lead elements of an ideal under a local degree order, m^N lies
+    in that ideal of the local ring (see _pair_loop).  None where n is 0 or
+    a variable has no pure power among ``lms``.
+    """
+    if n == 0 or _missing_power(lms, n) is not None:
+        return None
+    return max([sum(prefix) + top for prefix, top in _standard_runs(lms, n)], default=0)
 
 
 def _standard_runs(lms: Sequence[Monomial], n: int) -> list[tuple[Monomial, int]]:
@@ -917,11 +914,11 @@ def _staircase(gens: GeneratorSet) -> list[tuple[Monomial, int]]:
     """The runs of standard monomials of the leading ideal of ``gens`` under its order.
 
     The leading monomials are those of ``mora_local``'s race under a local
-    order and of ``buchberger_global``'s pair loop under a global one, kept
+    order and of ``buchberger_global``'s run under a global one, kept
     minimal; no Polynomial is built.  Raises NonZeroDimensionalError as
     _quotient_runs does.
     """
-    layout, entries = _race(gens) if gens.order.is_local else _global_run(gens)
+    layout, entries = _race(gens) if gens.order.is_local else _finish(_direct_run(gens))
     minimal = [layout.unpack(e[0]) for e in _minimalize(entries, layout)]
     return _quotient_runs(minimal, gens.order.nvars)
 
@@ -932,9 +929,9 @@ def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
     The quotient is finite dimensional exactly when the leading ideal
     contains a pure power of every variable; otherwise
     NonZeroDimensionalError reports a variable with no such power.  The
-    monomials outside the leading ideal are returned sorted by increasing
-    degree, ties broken by degrevlex, and they form an order ideal: any
-    divisor of a standard monomial is standard.
+    monomials outside the leading ideal are returned in increasing degrevlex
+    order, and they form an order ideal: any divisor of a standard monomial
+    is standard.
     """
     n = basis.order.nvars
     lms = basis.leading_monomials()
@@ -943,7 +940,5 @@ def quotient_basis(basis: ReducedBasis) -> QuotientBasis:
     else:
         runs = _quotient_runs(lms, n)
         monomials = [prefix + (e,) for prefix, top in runs for e in range(top)]
-    # degrevlex: decreasing reversed exponents within a degree.
-    monomials.sort(key=lambda mon: mon[::-1], reverse=True)
-    monomials.sort(key=sum)
+    monomials.sort(key=MonomialOrder.global_order(n).key)
     return QuotientBasis(tuple(monomials))

@@ -365,7 +365,7 @@ def test_full_remainder_is_primitive_against_fraction_oracle(monkeypatch):
             ]
             memo.found.clear()
             remainder, num, den, steps = standard_basis._full_remainder(
-                terms, [entries[i] for i in live], layout, False, lms[:t], memo
+                terms, [entries[i] for i in live], layout, lms[:t], memo
             )
             exact, exact_steps = fraction_full_remainder(
                 Polynomial(p.nvars, {layout.unpack(mon): Fraction(c) for mon, c in terms.items()}),
@@ -406,7 +406,7 @@ def test_weak_normal_form_result_is_primitive():
             # zero here), then of least leading monomial, then the oldest.
             first = min(basis, key=lambda g: order.key(g.leading_monomial(order)))
             p = _even_remainder_dividend(rng, n, first, order)
-            corner = standard_basis._no_corner
+            corner = lambda fresh: None
         layout = standard_basis._layout(order.kind, order.nvars)
         terms = standard_basis._integer_terms(p, layout)
         reducers = [
@@ -444,6 +444,39 @@ def test_mora_weak_normal_form_properties():
     assert not any(mon_divides(lm, r.leading_monomial(order)) for lm in lms)
     with pytest.raises(ValueError):
         mora_normal_form(P("z1", 2), basis, MonomialOrder.global_order(2))
+
+
+def test_mora_normal_form_stops_at_the_reducers_corner(monkeypatch):
+    # The reducers' leading monomials z1^3, z2 and z1*z2 hold a pure power of
+    # each variable, so m^3 lies in their ideal and the division drops the
+    # terms above degree 3.  Without that cut the remainder crept: a
+    # unit-multiple reducer, -2*z2 + ..., kept adding terms, and the call ran
+    # for minutes.  Now it takes four steps to zero, and the truncation
+    # oracle agrees that the dividend lies in the ideal.
+    order = MonomialOrder.local_order(2)
+    p = P(
+        "z1^5*z2^3 + z1^5*z2^2 + 1/3*z1^2*z2^5 + 2*z1^5*z2 - 1/2*z1^4*z2^2"
+        " + 2*z1^3*z2^3 + 2/3*z1^2*z2^4 - z1^2*z2^3 - 1/6*z1*z2^4 - 4/3*z1^2*z2^2"
+        " - 1/6*z1*z2^3 + 2*z1^3 - 4*z1^2*z2 + z1*z2^2 + 1/3*z1*z2",
+        2,
+    )
+    basis = [
+        P("1/3*z1^2*z2^3 - 2*z1^3", 2),
+        P("z1^3*z2 + 1/3*z2^3 + 1/3*z2^2 - 2*z2", 2),
+        P("1/2*z1^3*z2^3 - 2*z1*z2", 2),
+    ]
+    steps = []
+    step = standard_basis._step
+    monkeypatch.setattr(standard_basis, "_step", lambda *args: steps.append(1) or step(*args))
+    assert mora_normal_form(p, basis, order).is_zero()
+    assert len(steps) == 4
+    for bound in (5, 6, 7):
+        assert truncated_quotient_dimension(basis, bound) == 3
+        assert truncated_quotient_dimension(basis + [p], bound) == 3
+    # In no variables there is no corner to seek.
+    one, constant = Polynomial(0, {(): Fraction(1)}), Polynomial(0, {(): Fraction(3)})
+    assert mora_normal_form(constant, [], MonomialOrder.local_order(0)) is constant
+    assert mora_normal_form(constant, [one], MonomialOrder.local_order(0)).is_zero()
 
 
 def test_local_dimension_against_truncation_oracle():
@@ -988,20 +1021,20 @@ def test_division_memo_changes_no_division(monkeypatch):
     # Full division in the pair loop keeps one memo per run of the monomials
     # it found irreducible, and tests one again only against the leading
     # monomials that entered since.  On the pinned corpus every division of
-    # the lift and of the global run is made a second time with a fresh
-    # memo, which is a division without one: the remainder, its scale and
-    # the steps must be the same.  A recording memo stands in for each run's
-    # own, and counts the monomials found in it.
+    # the lift is made a second time with a fresh memo, which is a division
+    # without one: the remainder, its scale and the steps must be the same.
+    # A recording memo stands in for each run's own, and counts the
+    # monomials found in it.
     full_remainder = standard_basis._full_remainder
     memos = {}
     counts = [0, 0, 0]
 
-    def both(p, reducers, layout, top=False, lms=(), irreducible=None):
+    def both(p, reducers, layout, lms=(), irreducible=None):
         # Holding the run's own memo keeps its id from naming another run.
         _, memo = memos.setdefault(id(irreducible), (irreducible, _RecordingMemo()))
         memo.found.clear()
-        result = full_remainder(p, reducers, layout, top, lms, memo)
-        assert result == full_remainder(p, reducers, layout, top, lms, {})
+        result = full_remainder(p, reducers, layout, lms, memo)
+        assert result == full_remainder(p, reducers, layout, lms, {})
         kept, stepped = _memo_counts(memo, lms)
         counts[0] += 1
         counts[1] += kept
@@ -1009,16 +1042,12 @@ def test_division_memo_changes_no_division(monkeypatch):
         return result
 
     monkeypatch.setattr(standard_basis, "_full_remainder", both)
-    local, polys = _pinned_corpus()
+    local, _ = _pinned_corpus()
     for gens in local:
         _finish(_lift_run(GeneratorSet(tuple(gens), MonomialOrder.local_order(gens[0].nvars))))
-    for gens in polys:
-        standard_basis._global_run(
-            GeneratorSet(tuple(gens), MonomialOrder.global_order(gens[0].nvars))
-        )
     # Divisions, monomials the memo spared a scan of every reducer, and
     # monomials a newer leading monomial made reducible.
-    assert counts == [615, 30, 239]
+    assert counts == [433, 30, 18]
 
 
 def test_hard_ideals_on_each_run_alone():
@@ -1094,6 +1123,43 @@ def _conservation_problems(count):
         workloads.conservation_problem(workloads.case_rng("conservation", i), 4)
         for i in range(count)
     ]
+
+
+def test_global_staircase_against_sympy_oracle(monkeypatch):
+    # The index pipeline and buchberger_global share one run, so comparing
+    # them checks that run against itself.  Here its staircase under
+    # degrevlex and deglex must be that of the leading monomials of sympy's
+    # reduced Groebner basis, on the first 100 conservation deformations.
+    # And no global run walks the staircase for a highest corner: every
+    # ecart is zero, which is what makes the weak normal form Buchberger's
+    # reduction, so each _staircase call walks once, for its quotient.
+    walks = []
+    standard_runs = standard_basis._standard_runs
+
+    def counted(lms, n):
+        walks.append(n)
+        return standard_runs(lms, n)
+
+    monkeypatch.setattr(standard_basis, "_standard_runs", counted)
+    checked = 0
+    for problem in _conservation_problems(100):
+        n = len(problem["weights"])
+        polys = [Polynomial(n, terms) for terms in problem["deformed"]]
+        for kind, name in (("degrevlex", "grevlex"), ("deglex", "grlex")):
+            order = MonomialOrder(kind, n)
+            lms = [g.leading_monomial(order) for g in sympy_reduced_groebner(polys, name)]
+            expected = standard_basis._quotient_runs(lms, n)
+            walks.clear()
+            assert _staircase(GeneratorSet(tuple(polys), order)) == expected
+            assert len(walks) == 1
+            checked += 1
+    assert checked == 200
+    # The count does see a corner walk where one happens: the local race on
+    # digest:102 seeks its corner at a pair.
+    form, _ = random_case(random.Random("digest:102"))
+    walks.clear()
+    _staircase(GeneratorSet(tuple(form.components), MonomialOrder.local_order(form.nvars)))
+    assert len(walks) > 1
 
 
 def _weight_counts(monomials, action):
